@@ -92,6 +92,32 @@ impl Device {
         self.kernel.degree()
     }
 
+    /// Draws `count` coefficients from SEAL's clipped normal distribution,
+    /// paired with the burst length each distribution call takes. Every
+    /// capture mode consumes the RNG through here, in the same order, before
+    /// the kernel runs.
+    fn draws<'a, R: Rng + ?Sized>(
+        &self,
+        count: usize,
+        rng: &'a mut R,
+    ) -> impl Iterator<Item = (i64, u32)> + 'a {
+        let mut dist = ClippedNormalDistribution::new(
+            0.0,
+            self.noise_standard_deviation,
+            self.noise_max_deviation,
+        );
+        (0..count).map(move |_| {
+            let (v, stats) = dist.sample_i64(rng);
+            (v, burst_iterations(&stats))
+        })
+    }
+
+    /// Burst lengths for a chosen-value capture: the drawn values are
+    /// discarded, only the distribution-call timing is kept.
+    fn chosen_iterations<R: Rng + ?Sized>(&self, values: &[i64], rng: &mut R) -> Vec<u32> {
+        self.draws(values.len(), rng).map(|(_, m)| m).collect()
+    }
+
     /// Captures one execution with *fresh* noise sampled exactly as SEAL's
     /// encryptor would (attack mode).
     ///
@@ -99,19 +125,7 @@ impl Device {
     ///
     /// Propagates kernel failures.
     pub fn capture_fresh<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Capture, KernelError> {
-        let n = self.degree();
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let mut values = Vec::with_capacity(n);
-        let mut iterations = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (v, stats) = dist.sample_i64(rng);
-            values.push(v);
-            iterations.push(burst_iterations(&stats));
-        }
+        let (values, iterations): (Vec<i64>, Vec<u32>) = self.draws(self.degree(), rng).unzip();
         let run = self.kernel.run(&values, &iterations, &self.power, rng)?;
         Ok(Capture { values, run })
     }
@@ -129,18 +143,7 @@ impl Device {
         values: &[i64],
         rng: &mut R,
     ) -> Result<Capture, KernelError> {
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let iterations: Vec<u32> = values
-            .iter()
-            .map(|_| {
-                let (_, stats) = dist.sample_i64(rng);
-                burst_iterations(&stats)
-            })
-            .collect();
+        let iterations = self.chosen_iterations(values, rng);
         let run = self.kernel.run(values, &iterations, &self.power, rng)?;
         Ok(Capture {
             values: values.to_vec(),
@@ -148,42 +151,13 @@ impl Device {
         })
     }
 
-    /// [`Device::capture_fresh`] through the streaming fast path: the trace
-    /// renders into `scratch`'s reusable buffer and distribution bursts
-    /// replay from its sub-trace memo. Bit-identical output for the same RNG
-    /// seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel failures.
-    pub fn capture_fresh_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        scratch: &mut SamplerScratch,
-    ) -> Result<Capture, KernelError> {
-        let n = self.degree();
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let mut values = Vec::with_capacity(n);
-        let mut iterations = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (v, stats) = dist.sample_i64(rng);
-            values.push(v);
-            iterations.push(burst_iterations(&stats));
-        }
-        let run = self
-            .kernel
-            .run_into(&values, &iterations, &self.power, rng, scratch)?;
-        Ok(Capture { values, run })
-    }
-
-    /// [`Device::capture_chosen`] through the streaming fast path (see
-    /// [`Device::capture_fresh_into`]). This is what the profiling stage
-    /// uses: back-to-back chosen-value captures on one device hit the memo
-    /// constantly, since burst lengths concentrate on a few even values.
+    /// [`Device::capture_chosen`] on a caller-held [`SamplerScratch`]: the
+    /// trace renders into the scratch's reusable buffer and distribution
+    /// bursts replay from its sub-trace memo. This is what the profiling
+    /// stage uses, one scratch pinned per worker: back-to-back chosen-value
+    /// captures on one device hit the memo constantly, since burst lengths
+    /// concentrate on a few even values. Bit-identical output for the same
+    /// RNG seed.
     ///
     /// # Errors
     ///
@@ -194,18 +168,7 @@ impl Device {
         rng: &mut R,
         scratch: &mut SamplerScratch,
     ) -> Result<Capture, KernelError> {
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let iterations: Vec<u32> = values
-            .iter()
-            .map(|_| {
-                let (_, stats) = dist.sample_i64(rng);
-                burst_iterations(&stats)
-            })
-            .collect();
+        let iterations = self.chosen_iterations(values, rng);
         let run = self
             .kernel
             .run_into(values, &iterations, &self.power, rng, scratch)?;
@@ -215,11 +178,11 @@ impl Device {
         })
     }
 
-    /// [`Device::capture_chosen`] through the pre-fast-path reference
-    /// execution ([`SamplerKernel::run_reference`]): per-step decoding, a
-    /// materialized record list, and `sin`-per-bit rendering. Bit-identical
-    /// output; exists so the equivalence tests and `bench_pipeline` can
-    /// compare the fast path against the implementation it replaced.
+    /// Reference implementation — tests and benches only.
+    /// [`Device::capture_chosen`] through [`SamplerKernel::run_reference`]:
+    /// per-step decoding, a materialized record list, and `sin`-per-bit
+    /// rendering. Bit-identical output; the equivalence tests and
+    /// `bench_pipeline` compare the fast path against it.
     ///
     /// # Errors
     ///
@@ -229,18 +192,7 @@ impl Device {
         values: &[i64],
         rng: &mut R,
     ) -> Result<Capture, KernelError> {
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let iterations: Vec<u32> = values
-            .iter()
-            .map(|_| {
-                let (_, stats) = dist.sample_i64(rng);
-                burst_iterations(&stats)
-            })
-            .collect();
+        let iterations = self.chosen_iterations(values, rng);
         let run = self
             .kernel
             .run_reference(values, &iterations, &self.power, rng)?;
@@ -295,26 +247,47 @@ mod tests {
     #[test]
     fn fast_path_captures_match_direct_captures() {
         let device = Device::new(16, &[Q], PowerModelConfig::default()).unwrap();
-        let mut scratch = SamplerScratch::new();
 
+        // Fresh captures: the cold-scratch fast path against the oracle fed
+        // the same drawn values (the draws come first on both paths).
         let mut rng = StdRng::seed_from_u64(9);
-        let direct = device.capture_fresh(&mut rng).unwrap();
+        let fresh = device.capture_fresh(&mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        let fast = device.capture_fresh_into(&mut rng, &mut scratch).unwrap();
-        assert_eq!(fast.values, direct.values);
-        assert_eq!(fast.run.capture, direct.run.capture);
-        assert_eq!(fast.run.poly, direct.run.poly);
+        let (values, _): (Vec<i64>, Vec<u32>) = device.draws(16, &mut rng).unzip();
+        assert_eq!(fresh.values, values);
+        let mut rng = StdRng::seed_from_u64(9);
+        let oracle = device.capture_chosen_reference(&values, &mut rng).unwrap();
+        assert_eq!(fresh.run.capture, oracle.run.capture);
+        assert_eq!(fresh.run.poly, oracle.run.poly);
+        assert_eq!(
+            fresh.run.coefficient_windows,
+            oracle.run.coefficient_windows
+        );
 
+        // Chosen captures: cold scratch, warm scratch and the oracle.
         let values = [-7i64, 7, 0, -1, 1, -14, 14, 0, 2, -2, 3, -3, 0, 5, -5, 41];
         let mut rng = StdRng::seed_from_u64(10);
-        let direct = device.capture_chosen(&values, &mut rng).unwrap();
+        let oracle = device.capture_chosen_reference(&values, &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(10);
-        let fast = device
-            .capture_chosen_into(&values, &mut rng, &mut scratch)
-            .unwrap();
-        assert_eq!(fast.run.capture, direct.run.capture);
-        assert_eq!(fast.run.poly, direct.run.poly);
-        assert_eq!(fast.run.coefficient_windows, direct.run.coefficient_windows);
+        let cold = device.capture_chosen(&values, &mut rng).unwrap();
+        let mut scratch = SamplerScratch::new();
+        for pass in 0..2 {
+            let mut rng = StdRng::seed_from_u64(10);
+            let fast = device
+                .capture_chosen_into(&values, &mut rng, &mut scratch)
+                .unwrap();
+            for (capture, label) in [(&cold, "cold"), (&fast, "scratch")] {
+                assert_eq!(
+                    capture.run.capture, oracle.run.capture,
+                    "{label} pass {pass}"
+                );
+                assert_eq!(capture.run.poly, oracle.run.poly, "{label} pass {pass}");
+                assert_eq!(
+                    capture.run.coefficient_windows, oracle.run.coefficient_windows,
+                    "{label} pass {pass}"
+                );
+            }
+        }
         assert!(scratch.memo_len() > 0);
     }
 

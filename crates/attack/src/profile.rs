@@ -14,7 +14,7 @@ use reveal_template::{
     TemplateSet,
 };
 use reveal_trace::poi::{select_pois, PoiError};
-use reveal_trace::segment::{find_bursts, refined_bursts_into, SegmentError, SegmentScratch};
+use reveal_trace::segment::{refined_bursts_into, SegmentError, SegmentScratch};
 use reveal_trace::{Trace, TraceSet};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -112,6 +112,7 @@ pub fn extract_ladder_windows_into(
     windows_after_bursts(samples, &bursts, config)
 }
 
+/// Reference implementation — tests and benches only.
 /// [`extract_ladder_windows`] through the pre-fast-path segmenters (full
 /// percentile sorts per trace). Identical windows; kept for the
 /// `bench_pipeline` fast-path vs baseline comparison.
@@ -477,11 +478,11 @@ pub fn collect_profiling(
     Ok(data)
 }
 
-/// The pre-fast-path reference implementation of [`collect_profiling`]: one
-/// task per run, materializing captures through
-/// [`Device::capture_chosen_reference`] (per-step decoding, `sin`-per-bit
-/// rendering). Kept for the equivalence tests and the `bench_pipeline`
-/// fast-path vs baseline comparison.
+/// Reference implementation — tests and benches only. The pre-fast-path
+/// form of [`collect_profiling`]: one task per run, materializing captures
+/// through [`Device::capture_chosen_reference`] (per-step decoding,
+/// `sin`-per-bit rendering). Kept for the equivalence tests and the
+/// `bench_pipeline` fast-path vs baseline comparison.
 ///
 /// # Errors
 ///
@@ -908,8 +909,7 @@ pub fn ladder_window_starts(
     samples: &[f64],
     config: &AttackConfig,
 ) -> Result<Vec<usize>, SegmentError> {
-    let bursts = find_bursts(samples, &config.segment)?;
-    let bursts = reveal_trace::segment::refine_burst_ends(samples, &bursts, &config.segment);
+    let bursts = refined_bursts_into(samples, &config.segment, &mut SegmentScratch::new())?;
     Ok(bursts
         .iter()
         .map(|&(_, end)| end)

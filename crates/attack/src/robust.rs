@@ -35,7 +35,7 @@ use crate::profile::{AttackError, CoefficientEstimate, TrainedAttack};
 use crate::report::{AttackReport, ReportError};
 use reveal_hints::{DbddInstance, HintClass, HintPolicy, HintSummary, LweParameters, Posterior};
 use reveal_trace::sanity::{mad_outlier_flags, median, robust_noise_sigma};
-use reveal_trace::segment::{find_bursts, refine_burst_ends, SegmentConfig, SegmentError};
+use reveal_trace::segment::{refined_bursts_into, SegmentConfig, SegmentError, SegmentScratch};
 
 /// Knobs of the robust driver. Defaults are deliberately conservative: on a
 /// clean capture none of the screens may fire (the zero-fault bit-identity
@@ -104,8 +104,7 @@ pub struct Calibration {
 ///
 /// Propagates segmentation failures.
 pub fn calibrate(samples: &[f64], config: &AttackConfig) -> Result<Calibration, SegmentError> {
-    let bursts = find_bursts(samples, &config.segment)?;
-    let bursts = refine_burst_ends(samples, &bursts, &config.segment);
+    let bursts = refined_bursts_into(samples, &config.segment, &mut SegmentScratch::new())?;
     let levels: Vec<f64> = bursts
         .iter()
         .map(|&(s, e)| median(&samples[s..e.max(s + 1).min(samples.len())]))
@@ -272,9 +271,10 @@ pub struct RobustAttackResult {
 }
 
 impl RobustAttackResult {
-    /// `(value, confidence)` pairs for [`recover_adaptive`]
-    /// (crate::recover::recover_adaptive): unrecoverable coefficients get
-    /// value 0 at confidence 0, so the adaptive solver shrinks past them.
+    /// `(value, confidence)` pairs for
+    /// [`recover_adaptive`](crate::recover::recover_adaptive): unrecoverable
+    /// coefficients get value 0 at confidence 0, so the adaptive solver
+    /// shrinks past them.
     pub fn estimates(&self) -> Vec<(i64, f64)> {
         self.coefficients
             .iter()
@@ -496,9 +496,10 @@ impl<'a> RobustAttack<'a> {
         let schedule = relaxation_schedule(&self.attack.config().segment);
         let mut best: Option<(usize, Vec<(usize, usize)>)> = None;
         let mut last_error = None;
+        let mut scratch = SegmentScratch::new();
         for (rung, cfg) in schedule.iter().enumerate() {
-            let bursts = match find_bursts(samples, cfg) {
-                Ok(b) => refine_burst_ends(samples, &b, cfg),
+            let bursts = match refined_bursts_into(samples, cfg, &mut scratch) {
+                Ok(b) => b,
                 Err(e) => {
                     last_error = Some(e);
                     continue;

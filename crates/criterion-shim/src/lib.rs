@@ -4,7 +4,7 @@
 //! benchmark harness.
 //!
 //! Implements the subset of the 0.5 API used by `reveal-bench`:
-//! [`Criterion::bench_function`], [`Criterion::bench_with_input`],
+//! [`Criterion::bench_function`], [`BenchmarkGroup::bench_with_input`],
 //! [`Criterion::benchmark_group`], [`BenchmarkId`], [`black_box`] and the
 //! [`criterion_group!`]/[`criterion_main!`] macros.
 //!

@@ -1,7 +1,7 @@
 //! Measured cost model for sizing parallel work.
 //!
-//! The static minimum-work heuristics this replaces (`par_map_min`'s magic
-//! numbers: "64k multiply-adds per worker") encoded a guess about how many
+//! The static minimum-work heuristics this replaced (magic numbers such as
+//! "64k multiply-adds per worker") encoded a guess about how many
 //! nanoseconds one work unit costs. A guess cannot distinguish a laptop from
 //! a CI container, and it cannot see that a warm cache made the work 3×
 //! cheaper than last time. A [`CostModel`] instead *observes*: every modeled
@@ -190,7 +190,7 @@ impl CostModel {
 
     /// Sizes a call of `count` items, each costing `units_per_item` work
     /// units: workers amortize the measured spawn cost, claims target
-    /// [`CLAIM_TARGET_NS`] of work. Deterministic in its *effect* on output
+    /// `CLAIM_TARGET_NS` of work. Deterministic in its *effect* on output
     /// (none — results are placed by index); the plan itself varies with the
     /// machine and with what the model has observed, which is the point.
     pub fn plan(&'static self, count: usize, units_per_item: u64) -> Plan {

@@ -32,10 +32,6 @@
 //!
 //! - [`par_map`] / [`par_map_index`]: each element is a pure function of its
 //!   index; results are written back by index.
-//! - [`par_map_min`] / [`par_map_index_min`]: identical output, but a
-//!   minimum-work-per-worker heuristic drops tiny batches to the calling
-//!   thread (no spawn) — the worker count depends only on the batch size and
-//!   the configured thread count, so determinism is preserved.
 //! - [`par_map_modeled`] / [`par_map_index_modeled`] /
 //!   [`par_map_index_with_scratch`]: identical output, but the worker count
 //!   and the claim granularity come from a measured [`cost::CostModel`]
@@ -49,10 +45,9 @@
 //!   the task returns — which keeps the output independent of how indices
 //!   happen to be partitioned across workers.
 //! - [`par_map_chunks`]: chunk boundaries are `chunk_size`-aligned and
-//!   independent of the thread count.
-//! - [`par_reduce`]: each chunk is folded left-to-right and chunk results are
-//!   combined left-to-right, so even non-associative floating-point
-//!   reductions are reproducible across thread counts.
+//!   independent of the thread count, so a caller that folds each chunk
+//!   left-to-right and combines the chunk results left-to-right gets
+//!   floating-point reductions that are reproducible across thread counts.
 //!
 //! ## Thread-count resolution
 //!
@@ -65,8 +60,8 @@
 //! ```
 //! let squares = reveal_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//! let sum = reveal_par::par_reduce(&squares, 2, 0u64, |a, &x| a + x, |a, b| a + b);
-//! assert_eq!(sum, 30);
+//! let partials = reveal_par::par_map_chunks(&squares, 2, |_, c| c.iter().sum::<u64>());
+//! assert_eq!(partials, vec![5, 25]);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -209,31 +204,11 @@ fn run_indexed_stateful<St: Send, R: Send>(
     (results, scratches)
 }
 
-/// Stateless single-claim executor (the pre-cost-model shape), kept as the
-/// engine behind the plain and `_min` primitives.
-fn run_indexed_capped<R: Send>(
-    count: usize,
-    threads: usize,
-    task: &(impl Fn(usize) -> R + Sync),
-) -> Vec<R> {
-    run_indexed_stateful(count, threads, 1, &|| (), &|(): &mut (), i| task(i)).0
-}
-
+/// Stateless single-claim executor (the pre-cost-model shape), the engine
+/// behind the plain primitives.
 fn run_indexed<R: Send>(count: usize, task: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
-    run_indexed_capped(count, max_threads().min(count), task)
-}
-
-/// The worker count the minimum-work heuristic allows for `count` items when
-/// each worker should receive at least `min_items_per_worker` of them: small
-/// batches degenerate to one worker (pure serial, no threads spawned at
-/// all), large batches still fan out to [`max_threads`]. The result depends
-/// only on `(count, min_items_per_worker)` and the configured thread count —
-/// never on scheduling — so the determinism contract is unaffected (results
-/// are placed by index regardless of the worker count).
-fn capped_workers(count: usize, min_items_per_worker: usize) -> usize {
-    max_threads()
-        .min(count / min_items_per_worker.max(1))
-        .max(1)
+    let threads = max_threads().min(count);
+    run_indexed_stateful(count, threads, 1, &|| (), &|(): &mut (), i| task(i)).0
 }
 
 /// Maps `f` over `items` in parallel, returning results in input order.
@@ -241,7 +216,7 @@ fn capped_workers(count: usize, min_items_per_worker: usize) -> usize {
 /// Intended for coarse tasks (a device capture, a trace segmentation, a
 /// candidate's full correlation sweep); for element counts in the millions
 /// prefer [`par_map_chunks`] to amortize the per-task claim, and for cheap
-/// per-item work prefer [`par_map_min`] so tiny batches skip the thread
+/// per-item work prefer [`par_map_modeled`] so tiny batches skip the thread
 /// spawn entirely.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     run_indexed(items.len(), &|i| f(&items[i]))
@@ -250,32 +225,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 /// Maps `f` over `0..count` in parallel, returning results in index order.
 pub fn par_map_index<R: Send>(count: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     run_indexed(count, &f)
-}
-
-/// [`par_map`] with a minimum-work-per-worker heuristic: workers are capped
-/// so each receives at least `min_items_per_worker` items, and batches
-/// smaller than `2 × min_items_per_worker` run serially on the calling
-/// thread — spawning threads for a handful of microseconds of work costs
-/// more than it saves (the `cpa_rank` regression of `BENCH_pipeline.json`).
-/// Output is bit-identical to [`par_map`] for any thread count.
-pub fn par_map_min<T: Sync, R: Send>(
-    items: &[T],
-    min_items_per_worker: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let workers = capped_workers(items.len(), min_items_per_worker);
-    run_indexed_capped(items.len(), workers, &|i| f(&items[i]))
-}
-
-/// [`par_map_index`] with the minimum-work-per-worker heuristic of
-/// [`par_map_min`].
-pub fn par_map_index_min<R: Send>(
-    count: usize,
-    min_items_per_worker: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let workers = capped_workers(count, min_items_per_worker);
-    run_indexed_capped(count, workers, &f)
 }
 
 /// [`par_map_index`] scheduled by a measured [`CostModel`]: the model sizes
@@ -360,29 +309,6 @@ pub fn par_map_chunks<T: Sync, R: Send>(
     })
 }
 
-/// Deterministic parallel reduction: folds each `chunk_size`-aligned chunk
-/// left-to-right from a fresh `identity`, then combines the chunk results
-/// left-to-right (again from `identity`). The combining order is fixed by
-/// the chunking alone, so floating-point reductions are bit-identical across
-/// thread counts. For associative-exact operations (integer sums, set
-/// unions) the result equals the plain serial fold.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn par_reduce<T: Sync, A: Send + Sync + Clone>(
-    items: &[T],
-    chunk_size: usize,
-    identity: A,
-    fold: impl Fn(A, &T) -> A + Sync,
-    combine: impl Fn(A, A) -> A,
-) -> A {
-    let partials = par_map_chunks(items, chunk_size, |_, chunk| {
-        chunk.iter().fold(identity.clone(), &fold)
-    });
-    partials.into_iter().fold(identity, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,16 +331,19 @@ mod tests {
         }
     }
 
+    /// Folds each chunk left-to-right, then the chunk results left-to-right.
+    fn chunked_sum(items: &[f64], chunk: usize) -> f64 {
+        par_map_chunks(items, chunk, |_, c| c.iter().sum::<f64>())
+            .into_iter()
+            .sum()
+    }
+
     #[test]
     fn chunk_boundaries_are_thread_independent() {
         let items: Vec<f64> = (0..10_000).map(|i| f64::from(i).sin()).collect();
-        let reference = with_threads(1, || {
-            par_reduce(&items, 512, 0.0f64, |a, &x| a + x, |a, b| a + b)
-        });
+        let reference = with_threads(1, || chunked_sum(&items, 512));
         for threads in [2, 3, 5, 8] {
-            let sum = with_threads(threads, || {
-                par_reduce(&items, 512, 0.0f64, |a, &x| a + x, |a, b| a + b)
-            });
+            let sum = with_threads(threads, || chunked_sum(&items, 512));
             // Bit-for-bit, not approximately: the combining order is fixed.
             assert_eq!(sum.to_bits(), reference.to_bits(), "threads {threads}");
         }
@@ -433,34 +362,6 @@ mod tests {
             rebuilt.extend(chunk);
         }
         assert_eq!(rebuilt, items);
-    }
-
-    #[test]
-    fn min_work_variants_match_plain_maps() {
-        let items: Vec<u64> = (0..500).collect();
-        for threads in [1, 2, 4, 8] {
-            for min in [1, 16, 250, 1000] {
-                let a = with_threads(threads, || par_map_min(&items, min, |&x| x * 7 + 1));
-                assert_eq!(a, items.iter().map(|&x| x * 7 + 1).collect::<Vec<_>>());
-                let b = with_threads(threads, || par_map_index_min(257, min, |i| i * i));
-                assert_eq!(b, (0..257).map(|i| i * i).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
-    fn min_work_heuristic_caps_workers() {
-        // count / min < 2 ⇒ one worker (serial); larger batches fan out but
-        // never give a worker less than `min` items.
-        assert_eq!(with_threads(8, || capped_workers(29, 32)), 1);
-        assert_eq!(with_threads(8, || capped_workers(63, 32)), 1);
-        assert_eq!(with_threads(8, || capped_workers(64, 32)), 2);
-        assert_eq!(with_threads(8, || capped_workers(1024, 32)), 8);
-        assert_eq!(with_threads(2, || capped_workers(1024, 32)), 2);
-        // min = 0 behaves like min = 1.
-        assert_eq!(with_threads(4, || capped_workers(8, 0)), 4);
-        // Empty batches stay serial.
-        assert_eq!(with_threads(8, || capped_workers(0, 16)), 1);
     }
 
     #[test]
@@ -539,10 +440,7 @@ mod tests {
     fn empty_inputs() {
         assert_eq!(par_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
         assert_eq!(par_map_index(0, |i| i), Vec::<usize>::new());
-        assert_eq!(
-            par_reduce(&[] as &[i64], 8, 7i64, |a, &x| a + x, |a, b| a + b),
-            7
-        );
+        assert!(par_map_chunks(&[] as &[i64], 8, |_, c| c.len()).is_empty());
     }
 
     #[test]
@@ -578,20 +476,18 @@ mod tests {
         }
 
         #[test]
-        fn prop_par_reduce_equals_serial_fold(
+        fn prop_par_map_chunks_fold_equals_serial_fold(
             items in proptest::collection::vec(-1_000_000i64..1_000_000, 0..300),
             threads in 1usize..9,
             chunk in 1usize..64,
         ) {
             let serial = items.iter().fold(0i64, |a, &x| a.wrapping_add(x));
             let parallel = with_threads(threads, || {
-                par_reduce(
-                    &items,
-                    chunk,
-                    0i64,
-                    |a, &x| a.wrapping_add(x),
-                    i64::wrapping_add,
-                )
+                par_map_chunks(&items, chunk, |_, c| {
+                    c.iter().fold(0i64, |a, &x| a.wrapping_add(x))
+                })
+                .into_iter()
+                .fold(0i64, i64::wrapping_add)
             });
             prop_assert_eq!(parallel, serial);
         }

@@ -2,7 +2,7 @@
 //!
 //! The predecode cache (PR 4) removed instruction-word *parsing* from the
 //! hot loop, but every retired instruction still paid the full interpreter
-//! round trip: a decode-cache probe, the `step()` match, an [`ExecRecord`]
+//! round trip: a decode-cache probe, the `step()` match, an [`ExecRecord`](crate::cpu::ExecRecord)
 //! materialization, and a second dispatch inside the power renderer. This
 //! module goes one level up: straight-line runs of instructions are
 //! discovered at first execution, compiled once into a flat array of
@@ -403,7 +403,8 @@ pub struct BlockCache {
     /// the block *entered* at that PC.
     index: Vec<Option<u32>>,
     arena: Vec<CompiledBlock>,
-    /// Execution statistics (reset with [`BlockCache::reset`]).
+    /// Execution statistics over the cache's lifetime (they survive
+    /// [`BlockCache::reset_program`]).
     pub stats: BlockCacheStats,
 }
 

@@ -474,25 +474,18 @@ impl<M: Mmio> Cpu<M> {
         })
     }
 
-    /// Runs until halt or `max_steps`, feeding every record to `on_record`
-    /// as it retires — the zero-materialization path: no `Vec<ExecRecord>`
-    /// is ever built, so a power model can consume the stream directly.
-    pub fn run_with(&mut self, max_steps: usize, mut on_record: impl FnMut(&ExecRecord)) -> Halt {
-        for _ in 0..max_steps {
-            match self.step() {
-                Ok(r) => on_record(&r),
-                Err(halt) => return halt,
-            }
-        }
-        Halt::OutOfFuel
-    }
-
     /// Runs until halt or `max_steps`, collecting every record (the
-    /// materializing API, kept for tests and the disassembly tooling).
+    /// materializing API, kept for tests, the disassembly tooling and the
+    /// reference kernel runner).
     pub fn run(&mut self, max_steps: usize) -> (Vec<ExecRecord>, Halt) {
         let mut records = Vec::new();
-        let halt = self.run_with(max_steps, |r| records.push(r.clone()));
-        (records, halt)
+        for _ in 0..max_steps {
+            match self.step() {
+                Ok(r) => records.push(r),
+                Err(halt) => return (records, halt),
+            }
+        }
+        (records, Halt::OutOfFuel)
     }
 }
 
@@ -837,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn run_with_streams_the_same_records() {
+    fn run_matches_single_stepping() {
         let program = assemble("li t0, 3\nmul t1, t0, t0\nebreak", 0).unwrap();
         let mut bus = Bus::new(4096, QueueMmio::new());
         bus.load_words(0, &program.words);
@@ -847,10 +840,22 @@ mod tests {
         let mut bus = Bus::new(4096, QueueMmio::new());
         bus.load_words(0, &program.words);
         let mut cpu = Cpu::new(bus);
-        let mut streamed = Vec::new();
-        let halt2 = cpu.run_with(100, |r| streamed.push(r.clone()));
-        assert_eq!(streamed, collected);
+        let mut stepped = Vec::new();
+        let halt2 = loop {
+            match cpu.step() {
+                Ok(r) => stepped.push(r),
+                Err(halt) => break halt,
+            }
+        };
+        assert_eq!(stepped, collected);
         assert_eq!(halt2, halt);
+        // Fuel exhaustion stops after exactly `max_steps` records.
+        let mut bus = Bus::new(4096, QueueMmio::new());
+        bus.load_words(0, &program.words);
+        let mut cpu = Cpu::new(bus);
+        let (partial, halt3) = cpu.run(2);
+        assert_eq!(partial, collected[..2]);
+        assert_eq!(halt3, Halt::OutOfFuel);
     }
 
     #[test]

@@ -23,8 +23,7 @@ use crate::block::{self, BlockCache, BlockCacheStats, BlockExit};
 use crate::cpu::{Bus, Cpu, ExecRecord, Halt, QueueMmio};
 use crate::isa::{Instruction, Reg};
 use crate::power::{
-    render_power, render_power_reference, PowerCapture, PowerModelConfig, PowerRenderer,
-    TraceBuffer,
+    render_power_reference, PowerCapture, PowerModelConfig, PowerRenderer, TraceBuffer,
 };
 use rand::Rng;
 use std::collections::HashMap;
@@ -606,6 +605,10 @@ impl SamplerKernel {
     /// burst iterations before coefficient `i`, rendering power with
     /// `config`.
     ///
+    /// This is [`SamplerKernel::run_into`] with a fresh [`SamplerScratch`];
+    /// callers capturing many traces should keep one scratch and call
+    /// `run_into` directly so the burst memo and compiled blocks stay warm.
+    ///
     /// # Errors
     ///
     /// Fails on input-length mismatch or abnormal halt.
@@ -616,31 +619,22 @@ impl SamplerKernel {
         config: &PowerModelConfig,
         rng: &mut R,
     ) -> Result<KernelRun, KernelError> {
-        let mut cpu = self.prepare_cpu(noise_values, dist_iterations, rng)?;
-        let (records, halt) = cpu.run(self.fuel());
-        if halt != Halt::Ebreak {
-            return Err(KernelError::BadHalt(halt));
-        }
-
-        let capture = render_power(&records, config, rng);
-        let windows = self.ground_truth_windows(&records, &capture);
-        let (poly, shares, permutation) = self.read_outputs(&mut cpu);
-        Ok(KernelRun {
-            capture,
-            poly,
-            shares,
-            permutation,
-            coefficient_windows: windows,
-            instruction_count: records.len(),
-        })
+        self.run_into(
+            noise_values,
+            dist_iterations,
+            config,
+            rng,
+            &mut SamplerScratch::new(),
+        )
     }
 
-    /// The pre-fast-path execution path, kept verbatim as the benchmark
-    /// reference: per-step instruction decoding (no predecode cache), a
-    /// materialized `Vec<ExecRecord>`, and `sin`-per-bit power rendering via
-    /// [`render_power_reference`]. Bit-identical to [`SamplerKernel::run`]
-    /// and [`SamplerKernel::run_into`]; exists so `bench_pipeline` can
-    /// measure the fast path against the implementation it replaced.
+    /// Reference implementation — tests and benches only. The pre-fast-path
+    /// execution path, kept verbatim: per-step instruction decoding (no
+    /// predecode cache), a materialized `Vec<ExecRecord>`, and `sin`-per-bit
+    /// power rendering via [`render_power_reference`]. It shares no code
+    /// with the block compiler, the burst memo or the streaming renderer,
+    /// and is bit-identical to [`SamplerKernel::run_into`]; the equivalence
+    /// tests and `bench_pipeline` measure the fast path against it.
     ///
     /// # Errors
     ///
@@ -677,11 +671,12 @@ impl SamplerKernel {
     /// bursts replay from `scratch`'s noiseless sub-trace memo with a fresh
     /// per-run noise overlay.
     ///
-    /// Bit-identical to [`SamplerKernel::run`] for the same inputs and RNG
-    /// seed: same capture (samples and spans), outputs, windows, and
-    /// instruction count. The memo is validated against a fingerprint of the
-    /// kernel program, moduli, and power configuration, and cleared on
-    /// mismatch, so one scratch can serve many kernels.
+    /// Bit-identical to [`SamplerKernel::run_reference`] for the same inputs
+    /// and RNG seed, whatever state `scratch` is in: same capture (samples
+    /// and spans), outputs, windows, and instruction count. The memo is
+    /// validated against a fingerprint of the kernel program, moduli, and
+    /// power configuration, and cleared on mismatch, so one scratch can
+    /// serve many kernels.
     ///
     /// # Errors
     ///
@@ -1511,16 +1506,16 @@ mod tests {
         assert!(masked.load_bounds().iter().any(|b| b.base == RAND_PORT));
     }
 
-    fn assert_runs_equal(fast: &KernelRun, baseline: &KernelRun, context: &str) {
-        assert_eq!(fast.capture, baseline.capture, "{context}: capture");
-        assert_eq!(fast.poly, baseline.poly, "{context}: poly");
-        assert_eq!(fast.shares, baseline.shares, "{context}: shares");
+    fn assert_runs_equal(fast: &KernelRun, oracle: &KernelRun, context: &str) {
+        assert_eq!(fast.capture, oracle.capture, "{context}: capture");
+        assert_eq!(fast.poly, oracle.poly, "{context}: poly");
+        assert_eq!(fast.shares, oracle.shares, "{context}: shares");
         assert_eq!(
-            fast.coefficient_windows, baseline.coefficient_windows,
+            fast.coefficient_windows, oracle.coefficient_windows,
             "{context}: windows"
         );
         assert_eq!(
-            fast.instruction_count, baseline.instruction_count,
+            fast.instruction_count, oracle.instruction_count,
             "{context}: instruction count"
         );
     }
@@ -1542,12 +1537,18 @@ mod tests {
                 let config = PowerModelConfig::default().with_noise_sigma(sigma);
                 let context = format!("{variant:?} sigma={sigma}");
                 let mut rng = StdRng::seed_from_u64(21);
-                let baseline = kernel.run(&values, &iters, &config, &mut rng).unwrap();
+                let oracle = kernel
+                    .run_reference(&values, &iters, &config, &mut rng)
+                    .unwrap();
+                // `run` is the fast path on a cold scratch.
                 let mut rng = StdRng::seed_from_u64(21);
-                let fast = kernel
+                let cold = kernel.run(&values, &iters, &config, &mut rng).unwrap();
+                assert_runs_equal(&cold, &oracle, &format!("{context} (cold)"));
+                let mut rng = StdRng::seed_from_u64(21);
+                let switched = kernel
                     .run_into(&values, &iters, &config, &mut rng, &mut scratch)
                     .unwrap();
-                assert_runs_equal(&fast, &baseline, &context);
+                assert_runs_equal(&switched, &oracle, &format!("{context} (switched)"));
                 assert!(scratch.memo_len() > 0, "{context}: memo populated");
                 // Second run on the warm memo: every burst replays from the
                 // cache and must still be bit-identical.
@@ -1555,7 +1556,7 @@ mod tests {
                 let warm = kernel
                     .run_into(&values, &iters, &config, &mut rng, &mut scratch)
                     .unwrap();
-                assert_runs_equal(&warm, &baseline, &format!("{context} (warm)"));
+                assert_runs_equal(&warm, &oracle, &format!("{context} (warm)"));
             }
         }
     }
@@ -1567,13 +1568,20 @@ mod tests {
         let iters = [4u32, 9, 5, 4];
         let config = PowerModelConfig::default();
         let mut rng = StdRng::seed_from_u64(31);
-        let baseline = kernel.run(&values, &iters, &config, &mut rng).unwrap();
-        let mut scratch = SamplerScratch::new();
-        let mut rng = StdRng::seed_from_u64(31);
-        let fast = kernel
-            .run_into(&values, &iters, &config, &mut rng, &mut scratch)
+        let oracle = kernel
+            .run_reference(&values, &iters, &config, &mut rng)
             .unwrap();
-        assert_runs_equal(&fast, &baseline, "multi-modulus");
+        let mut rng = StdRng::seed_from_u64(31);
+        let cold = kernel.run(&values, &iters, &config, &mut rng).unwrap();
+        assert_runs_equal(&cold, &oracle, "multi-modulus (cold)");
+        let mut scratch = SamplerScratch::new();
+        for pass in ["first", "warm"] {
+            let mut rng = StdRng::seed_from_u64(31);
+            let fast = kernel
+                .run_into(&values, &iters, &config, &mut rng, &mut scratch)
+                .unwrap();
+            assert_runs_equal(&fast, &oracle, &format!("multi-modulus ({pass})"));
+        }
     }
 
     #[test]
@@ -1581,18 +1589,26 @@ mod tests {
         let kernel = SamplerKernel::new(8, &[Q]).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let mut scratch = SamplerScratch::new();
-        assert!(matches!(
-            kernel.run_into(
-                &[0; 4],
-                &[1; 8],
-                &PowerModelConfig::noiseless(),
-                &mut rng,
-                &mut scratch
-            ),
-            Err(KernelError::InputMismatch {
-                expected: 8,
-                got: 4
-            })
+        let config = PowerModelConfig::noiseless();
+        let mismatch = |result: Result<KernelRun, KernelError>| {
+            matches!(
+                result,
+                Err(KernelError::InputMismatch {
+                    expected: 8,
+                    got: 4
+                })
+            )
+        };
+        assert!(mismatch(kernel.run_into(
+            &[0; 4],
+            &[1; 8],
+            &config,
+            &mut rng,
+            &mut scratch
+        )));
+        assert!(mismatch(kernel.run(&[0; 4], &[1; 8], &config, &mut rng)));
+        assert!(mismatch(
+            kernel.run_reference(&[0; 4], &[1; 8], &config, &mut rng)
         ));
     }
 

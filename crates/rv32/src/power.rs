@@ -342,10 +342,10 @@ impl PowerSink for TraceBuffer {
 
 /// Streaming power-model renderer with a precomputed per-bit weight table.
 ///
-/// [`render_power`] recomputes `sin(2.3 b + 1.7)` for every set bit of every
-/// leaked word — roughly one `sin` per set data bit per executed instruction,
-/// which dominates `profile_collect`. The renderer evaluates [`bit_weight`]
-/// once per bit position at construction; the lookups then produce the exact
+/// [`render_power_reference`] recomputes `sin(2.3 b + 1.7)` for every set
+/// bit of every leaked word — roughly one `sin` per set data bit per executed
+/// instruction, which dominated `profile_collect`. The renderer evaluates
+/// `bit_weight` once per bit position at construction; the lookups then produce the exact
 /// same floating-point sums (same per-bit values, same ascending-bit
 /// accumulation order), so traces stay bit-identical to the slow path.
 #[derive(Debug, Clone)]
@@ -557,8 +557,8 @@ pub fn render_power<R: Rng + ?Sized>(
     buffer.into_capture()
 }
 
-/// The pre-fast-path renderer, kept verbatim as the benchmark reference: it
-/// recomputes [`weighted_bit_leakage`] — one `sin` per set bit — for every
+/// Reference implementation — tests and benches only. The pre-fast-path
+/// renderer, kept verbatim: it recomputes [`weighted_bit_leakage`] — one `sin` per set bit — for every
 /// record instead of using [`PowerRenderer`]'s lookup table. Produces the
 /// exact same capture as [`render_power`]; exists so `bench_pipeline` can
 /// report the fast path's speedup against the implementation it replaced.

@@ -61,10 +61,6 @@ const SCATTER_CHUNK: usize = 64;
 /// `dim²` multiply-adds; a column is ~half that, folded into the prior).
 static LINV_COLUMN_COST: reveal_par::CostModel = reveal_par::CostModel::new("lda.linv.column", 0.5);
 
-/// Cost model for projecting one observation (units: `components · dim`
-/// multiply-adds).
-static PROJECT_COST: reveal_par::CostModel = reveal_par::CostModel::new("lda.project", 1.0);
-
 /// A fitted LDA projection (rows of `matrix` are the discriminant
 /// directions in input space).
 #[derive(Debug, Clone, PartialEq)]
@@ -242,21 +238,6 @@ impl LdaProjection {
         self.components.len()
     }
 
-    /// Projects a batch of observations, parallel over observations; output
-    /// order matches input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn project_batch<S: AsRef<[f64]> + Sync>(&self, observations: &[S]) -> Vec<Vec<f64>> {
-        // A projection is a handful of dot products; the cost model demands
-        // a real batch per worker before fanning out.
-        let units = (self.components.len() * self.dim) as u64;
-        reveal_par::par_map_modeled(observations, &PROJECT_COST, units, |o| {
-            self.project(o.as_ref())
-        })
-    }
-
     /// Projects an observation onto the discriminant directions.
     ///
     /// # Panics
@@ -410,11 +391,6 @@ mod tests {
                 reveal_par::with_threads(threads, || LdaProjection::fit(&data, 2, 1e-6).unwrap());
             assert_eq!(fitted, reference, "threads {threads}");
         }
-        // Batch projection equals the serial loop, in order.
-        let observations: Vec<Vec<f64>> = data.iter().map(|(_, v)| v.clone()).collect();
-        let serial: Vec<Vec<f64>> = observations.iter().map(|o| reference.project(o)).collect();
-        let batch = reveal_par::with_threads(4, || reference.project_batch(&observations));
-        assert_eq!(batch, serial);
     }
 
     #[test]

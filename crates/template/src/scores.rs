@@ -3,11 +3,6 @@
 use reveal_par::simd;
 use std::collections::BTreeMap;
 
-/// Cost model for fusing one pair of score tables (units: labels merged). A
-/// fuse merges two ~30-label score lists — microscopic work, so only very
-/// large batches leave the serial path.
-static FUSE_COST: reveal_par::CostModel = reveal_par::CostModel::new("scores.fuse", 20.0);
-
 /// Log-likelihood scores per candidate label, with softmax probabilities.
 ///
 /// Produced by [`crate::TemplateSet::classify`]; fused across the value and
@@ -93,26 +88,6 @@ impl ScoreTable {
         ScoreTable { scores: fused }
     }
 
-    /// Fuses corresponding tables of two equal-length batches (the batched
-    /// form of [`ScoreTable::fuse`], parallel over pairs via `reveal-par`) —
-    /// used when an attack scores every window's negation and store regions
-    /// in one sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batches differ in length.
-    pub fn fuse_batch(first: &[ScoreTable], second: &[ScoreTable]) -> Vec<ScoreTable> {
-        assert_eq!(
-            first.len(),
-            second.len(),
-            "fused batches must pair up one-to-one"
-        );
-        let units = first.first().map_or(1, |t| t.len().max(1) as u64);
-        reveal_par::par_map_index_modeled(first.len(), &FUSE_COST, units, |i| {
-            first[i].fuse(&second[i])
-        })
-    }
-
     /// Restricts to a subset of labels (e.g. after the sign classifier has
     /// ruled out half the range).
     pub fn restrict<F: Fn(i64) -> bool>(&self, keep: F) -> ScoreTable {
@@ -196,26 +171,6 @@ mod tests {
         let fused = a.fuse(&b);
         assert_eq!(fused.len(), 2);
         assert_eq!(fused.probability_of(1), 0.0);
-    }
-
-    #[test]
-    fn fuse_batch_matches_pairwise_fusion() {
-        let firsts: Vec<ScoreTable> = (0..20)
-            .map(|i| table(&[(1, -1.0 - i as f64 * 0.1), (2, -2.0), (3, -0.5)]))
-            .collect();
-        let seconds: Vec<ScoreTable> = (0..20)
-            .map(|i| table(&[(1, -0.3), (2, -1.0 + i as f64 * 0.05), (3, -2.0)]))
-            .collect();
-        let serial: Vec<ScoreTable> = firsts
-            .iter()
-            .zip(&seconds)
-            .map(|(a, b)| a.fuse(b))
-            .collect();
-        for threads in [1, 4] {
-            let batch =
-                reveal_par::with_threads(threads, || ScoreTable::fuse_batch(&firsts, &seconds));
-            assert_eq!(batch, serial, "threads {threads}");
-        }
     }
 
     #[test]

@@ -14,10 +14,6 @@ use reveal_trace::TraceSet;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Cost model for classifying one observation (units: `classes · dim²`
-/// multiply-adds across the Mahalanobis solves).
-static CLASSIFY_COST: reveal_par::CostModel = reveal_par::CostModel::new("template.classify", 1.0);
-
 /// Errors from template construction or classification.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TemplateError {
@@ -259,28 +255,6 @@ impl TemplateSet {
             scores.push((label, -0.5 * (d2 + log_det)));
         }
         Ok(ScoreTable::from_log_likelihoods(scores))
-    }
-
-    /// Classifies a batch of observations, parallel over observations via
-    /// `reveal-par`; scores come back in input order, and the first failing
-    /// observation (in input order) determines the error — exactly the
-    /// serial loop's behavior.
-    ///
-    /// # Errors
-    ///
-    /// Fails on dimension mismatch of any observation.
-    pub fn classify_batch<S: AsRef<[f64]> + Sync>(
-        &self,
-        observations: &[S],
-    ) -> Result<Vec<ScoreTable>, TemplateError> {
-        // One classification is a few Mahalanobis distances (dim² each); the
-        // cost model keeps small batches serial and sizes claims on big ones.
-        let units = (self.classes.len() * self.dim * self.dim).max(1) as u64;
-        reveal_par::par_map_modeled(observations, &CLASSIFY_COST, units, |o| {
-            self.classify(o.as_ref())
-        })
-        .into_iter()
-        .collect()
     }
 }
 

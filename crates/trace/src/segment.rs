@@ -66,11 +66,10 @@ impl fmt::Display for SegmentError {
 
 impl std::error::Error for SegmentError {}
 
-/// Reusable buffers for the segmentation fast path: the prefix-sum vector,
-/// the bucket histogram, and the gather buffers of the order-statistic
-/// selections in [`find_bursts_into`] / [`refine_burst_ends_into`]. One
-/// scratch per worker amortizes ~2.5 MB of per-call allocation across a
-/// whole capture campaign.
+/// Reusable buffers for the segmentation fast path ([`refined_bursts_into`]):
+/// the prefix-sum vector, the bucket histograms, and the gather buffers of
+/// the order-statistic selections. One scratch per worker amortizes ~2.5 MB
+/// of per-call allocation across a whole capture campaign.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentScratch {
     prefix: Vec<f64>,
@@ -483,7 +482,9 @@ fn combined_statistic(cand_diffs: &[f64], denom: f64, edge_vals: &[f64], edges: 
     }
 }
 
-/// Finds the high-power bursts (distribution-call peaks).
+/// Finds the high-power bursts (distribution-call peaks), with the smoothed
+/// edges left unrefined; the attack pipeline segments through
+/// [`refined_bursts_into`] instead.
 ///
 /// # Errors
 ///
@@ -501,13 +502,11 @@ pub fn find_bursts(
 /// percentile ranks, and a division-free threshold scan against an
 /// ulp-exact boundary ([`diff_boundary`]). The smoothed trace is never
 /// materialized and no per-element division happens, yet every burst index
-/// is identical to [`find_bursts`]'s reference computation — the diff-to-
-/// value map is monotone and the boundary is exact.
-///
-/// # Errors
-///
-/// Same as [`find_bursts`].
-pub fn find_bursts_into(
+/// is identical to [`find_bursts_reference`] — the diff-to-value map is
+/// monotone and the boundary is exact. [`refined_bursts_into`] fuses this
+/// with the end refinement; it calls this directly only for short or
+/// unsmoothed traces.
+fn find_bursts_into(
     samples: &[f64],
     config: &SegmentConfig,
     scratch: &mut SegmentScratch,
@@ -609,14 +608,23 @@ pub fn find_bursts_into(
     bursts_from_flags(flags, config)
 }
 
-/// [`find_bursts_into`] followed by [`refine_burst_ends_into`] with every
-/// full-trace pass shared between the two stages: the prefix-sum pass also
-/// counts both the diff-domain and raw level-one histograms, and the
-/// second-level counting and gather passes serve all six rank endpoints
-/// (two percentile candidate runs for the burst threshold, two single
-/// ranks for the refinement levels) in single sweeps. Four passes over the
-/// trace in total, against nine when the two stages run separately.
-/// Returns exactly what the two-stage composition returns.
+/// Finds the distribution-call bursts and refines each burst's end to
+/// cycle accuracy — the one production segmentation front end.
+///
+/// The moving-average edges of burst detection jitter by a few samples with
+/// the noise, which smears sample-exact leakage across template dimensions,
+/// so each end is refined on the *raw* trace: a burst's true end is the
+/// last run of six consecutive raw samples above a high threshold (single
+/// data-dependent spikes outside the burst cannot form such a run).
+///
+/// Every full-trace pass is shared between detection and refinement: the
+/// prefix-sum pass also counts both the diff-domain and raw level-one
+/// histograms, and the second-level counting and gather passes serve all
+/// six rank endpoints (two percentile candidate runs for the burst
+/// threshold, two single ranks for the refinement levels) in single
+/// sweeps. Four passes over the trace in total, against nine when the two
+/// stages run separately. Returns exactly what
+/// [`refine_burst_ends_reference`] over [`find_bursts_reference`] returns.
 ///
 /// # Errors
 ///
@@ -785,8 +793,9 @@ pub fn refined_bursts_into(
     Ok(refine_with_levels(samples, &bursts, config, raw_lo, raw_hi))
 }
 
-/// [`find_bursts`] with the pre-fast-path sort-based percentile pass, kept
-/// as the benchmark baseline. Identical results.
+/// Reference implementation — tests and benches only. Burst detection on
+/// the materialized smoothed trace with the pre-fast-path sort-based
+/// percentile pass. Identical results to [`find_bursts`].
 ///
 /// # Errors
 ///
@@ -795,17 +804,9 @@ pub fn find_bursts_reference(
     samples: &[f64],
     config: &SegmentConfig,
 ) -> Result<Vec<(usize, usize)>, SegmentError> {
-    find_bursts_impl(samples, config, percentiles_5_95_sorted)
-}
-
-fn find_bursts_impl(
-    samples: &[f64],
-    config: &SegmentConfig,
-    percentiles: fn(&mut [f64]) -> (f64, f64),
-) -> Result<Vec<(usize, usize)>, SegmentError> {
     let smoothed = smooth(samples, config.smooth_window)?;
     // Robust low/high levels: 5th and 95th percentiles of the smoothed trace.
-    let (lo, hi) = percentiles(&mut smoothed.clone());
+    let (lo, hi) = percentiles_5_95_sorted(&mut smoothed.clone());
     threshold_bursts(&smoothed, lo, hi, config)
 }
 
@@ -868,24 +869,9 @@ fn bursts_from_flags(
     Ok(merged)
 }
 
-/// Refines burst boundaries to cycle accuracy using the *raw* trace: the
-/// moving-average edges of [`find_bursts`] jitter by a few samples with the
-/// noise, which smears sample-exact leakage across template dimensions. A
-/// burst's true end is the last run of `run_len` consecutive raw samples
-/// above a high threshold (single data-dependent spikes outside the burst
-/// cannot form such a run).
-pub fn refine_burst_ends(
-    samples: &[f64],
-    bursts: &[(usize, usize)],
-    config: &SegmentConfig,
-) -> Vec<(usize, usize)> {
-    refine_burst_ends_into(samples, bursts, config, &mut SegmentScratch::new())
-}
-
-/// [`refine_burst_ends`] with caller-provided scratch: the raw-trace
-/// percentile pass is a read-only histogram selection instead of a
-/// full-trace copy plus comparison selection. Identical results.
-pub fn refine_burst_ends_into(
+/// Burst end refinement with a read-only histogram selection for the raw
+/// trace's levels, for traces [`refined_bursts_into`] does not fuse.
+fn refine_burst_ends_into(
     samples: &[f64],
     bursts: &[(usize, usize)],
     config: &SegmentConfig,
@@ -900,26 +886,19 @@ pub fn refine_burst_ends_into(
     refine_with_levels(samples, bursts, config, lo, hi)
 }
 
-/// [`refine_burst_ends`] with the pre-fast-path sort-based percentile pass,
-/// kept as the benchmark baseline. Identical results.
+/// Reference implementation — tests and benches only. Refines `bursts`
+/// (from [`find_bursts_reference`]) to cycle accuracy on the raw trace, with
+/// the pre-fast-path sort-based percentile pass; see
+/// [`refined_bursts_into`] for the rule.
 pub fn refine_burst_ends_reference(
     samples: &[f64],
     bursts: &[(usize, usize)],
     config: &SegmentConfig,
 ) -> Vec<(usize, usize)> {
-    refine_burst_ends_impl(samples, bursts, config, percentiles_5_95_sorted)
-}
-
-fn refine_burst_ends_impl(
-    samples: &[f64],
-    bursts: &[(usize, usize)],
-    config: &SegmentConfig,
-    percentiles: fn(&mut [f64]) -> (f64, f64),
-) -> Vec<(usize, usize)> {
     if samples.is_empty() {
         return bursts.to_vec();
     }
-    let (lo, hi) = percentiles(&mut samples.to_vec());
+    let (lo, hi) = percentiles_5_95_sorted(&mut samples.to_vec());
     refine_with_levels(samples, bursts, config, lo, hi)
 }
 
@@ -996,31 +975,6 @@ pub fn segment_windows(
         windows.push((s, end));
     }
     Ok(windows)
-}
-
-/// Segments many traces at once, one [`segment_windows`] call per trace,
-/// parallelized over traces with `reveal-par`. Results come back in input
-/// order and are bit-identical to the serial loop for any thread count.
-pub fn segment_windows_batch<S: AsRef<[f64]> + Sync>(
-    traces: &[S],
-    config: &SegmentConfig,
-) -> Vec<Result<Vec<(usize, usize)>, SegmentError>> {
-    reveal_par::par_map(traces, |t| segment_windows(t.as_ref(), config))
-}
-
-/// Burst detection over many traces ([`find_bursts`] + [`refine_burst_ends`]
-/// per trace), parallelized over traces with `reveal-par`. This is the
-/// per-trace front half of the attack pipeline; batching it lets a capture
-/// campaign segment as fast as the hardware allows.
-pub fn refined_bursts_batch<S: AsRef<[f64]> + Sync>(
-    traces: &[S],
-    config: &SegmentConfig,
-) -> Vec<Result<Vec<(usize, usize)>, SegmentError>> {
-    reveal_par::par_map(traces, |t| {
-        let samples = t.as_ref();
-        let bursts = find_bursts(samples, config)?;
-        Ok(refine_burst_ends(samples, &bursts, config))
-    })
 }
 
 /// Compares detected windows with ground truth: the fraction of true windows
@@ -1152,30 +1106,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_segmentation_matches_serial_for_any_thread_count() {
-        let traces: Vec<Vec<f64>> = (0..12)
-            .map(|k| {
-                synthetic_trace(
-                    &[(50 + k, 120 + k), (300, 370), (600, 660)],
-                    900,
-                    1.0,
-                    4.0 + k as f64 * 0.1,
-                )
-            })
-            .collect();
-        let config = SegmentConfig::default();
-        let serial: Vec<_> = traces.iter().map(|t| segment_windows(t, &config)).collect();
-        for threads in [1, 4] {
-            let batch =
-                reveal_par::with_threads(threads, || segment_windows_batch(&traces, &config));
-            assert_eq!(batch, serial, "threads {threads}");
-        }
-        let refined = reveal_par::with_threads(4, || refined_bursts_batch(&traces, &config));
-        assert_eq!(refined.len(), traces.len());
-        assert!(refined.iter().all(|r| r.as_ref().unwrap().len() == 3));
-    }
-
-    #[test]
     fn selection_percentiles_match_sorted_reference() {
         // Noisy trace with duplicates and plateaus: the linear-time selection
         // must reproduce the sort-based order statistics exactly.
@@ -1198,9 +1128,14 @@ mod tests {
             let fast = find_bursts(t, &config).unwrap();
             let reference = find_bursts_reference(t, &config).unwrap();
             assert_eq!(fast, reference);
+            let refined = refine_burst_ends_reference(t, &reference, &config);
             assert_eq!(
-                refine_burst_ends(t, &fast, &config),
-                refine_burst_ends_reference(t, &reference, &config)
+                refine_burst_ends_into(t, &fast, &config, &mut SegmentScratch::new()),
+                refined
+            );
+            assert_eq!(
+                refined_bursts_into(t, &config, &mut SegmentScratch::new()).unwrap(),
+                refined
             );
         }
         // Degenerate lengths.

@@ -1,24 +1,32 @@
-//! Equivalence suite for the rv32 trace-generation fast path.
+//! Equivalence suite: each layer's one fast path against its one oracle.
 //!
-//! The streaming pipeline (predecode cache, `PowerSink` emission, sub-trace
-//! memoization, chunked profiling collection) is a pure performance layer:
-//! every output it produces must be bit-identical to the materializing
-//! baseline for the same inputs and RNG seed. These tests pin that contract
-//! at the kernel level (all five sampler variants, deterministic cases and
-//! a proptest over random coefficient sequences) and at the pipeline level
-//! (profiling collection and the trained attack built from it).
+//! The streaming capture pipeline (predecode cache, block compiler,
+//! `PowerSink` emission, sub-trace memoization, chunked profiling
+//! collection) and the fused segmenter are pure performance layers: every
+//! output they produce must be bit-identical to the reference
+//! implementations for the same inputs and RNG seed. These tests pin that
+//! contract at the kernel level (all five sampler variants, cold and warm
+//! scratch, deterministic cases and a proptest over random coefficient
+//! sequences), at the segmentation level (every relaxation rung on clean,
+//! corrupted and degenerate traces) and at the pipeline level (profiling
+//! collection and the trained attack built from it).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reveal_attack::{
-    collect_profiling, collect_profiling_baseline, AttackConfig, Device, TrainedAttack,
+    collect_profiling, collect_profiling_baseline, relaxation_schedule, AttackConfig, Device,
+    TrainedAttack,
 };
+use reveal_chaos::ChaosPlan;
 use reveal_rv32::block::{run_block, BlockCache, BlockCacheStats, BlockExit};
 use reveal_rv32::cpu::{Bus, Cpu, Halt, QueueMmio};
 use reveal_rv32::kernel::{KernelRun, KernelVariant, SamplerKernel, SamplerScratch};
 use reveal_rv32::power::{PowerModelConfig, PowerRenderer, TraceBuffer};
 use reveal_rv32::{assemble, static_leaders, Instruction, Program};
+use reveal_trace::segment::{
+    find_bursts_reference, refine_burst_ends_reference, refined_bursts_into, SegmentScratch,
+};
 
 const Q: u64 = 132_120_577;
 const Q2: u64 = 12_289;
@@ -31,9 +39,23 @@ const VARIANTS: [KernelVariant; 5] = [
     KernelVariant::Ckks,
 ];
 
-/// Runs one input set through the block-compiled fast path, the per-step
-/// `run()` path, and the verbatim reference oracle, and asserts every
-/// output matches bit for bit.
+/// Asserts a fast-path run matches the oracle's run in every output.
+fn assert_runs_match(fast: &KernelRun, oracle: &KernelRun) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&fast.capture.samples, &oracle.capture.samples);
+    prop_assert_eq!(&fast.capture.spans, &oracle.capture.spans);
+    prop_assert_eq!(&fast.poly, &oracle.poly);
+    prop_assert_eq!(&fast.shares, &oracle.shares);
+    prop_assert_eq!(&fast.permutation, &oracle.permutation);
+    prop_assert_eq!(&fast.coefficient_windows, &oracle.coefficient_windows);
+    prop_assert_eq!(fast.instruction_count, oracle.instruction_count);
+    Ok(())
+}
+
+/// Runs one input set through the fast path on a cold scratch (`run`) and
+/// twice on the caller's `scratch` (the second run replays every burst from
+/// a warm memo and dispatches already-compiled blocks), and asserts every
+/// output matches the reference oracle bit for bit. The oracle shares no
+/// code with the block compiler, the memo or the predecode cache.
 fn assert_fast_path_identical(
     kernel: &SamplerKernel,
     values: &[i64],
@@ -43,28 +65,19 @@ fn assert_fast_path_identical(
     scratch: &mut SamplerScratch,
 ) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let baseline: KernelRun = kernel.run(values, iterations, config, &mut rng).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let reference: KernelRun = kernel
+    let oracle = kernel
         .run_reference(values, iterations, config, &mut rng)
         .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let fast: KernelRun = kernel
-        .run_into(values, iterations, config, &mut rng, scratch)
-        .unwrap();
-    prop_assert_eq!(&fast.capture.samples, &baseline.capture.samples);
-    prop_assert_eq!(&fast.capture.spans, &baseline.capture.spans);
-    prop_assert_eq!(&fast.poly, &baseline.poly);
-    prop_assert_eq!(&fast.shares, &baseline.shares);
-    prop_assert_eq!(&fast.coefficient_windows, &baseline.coefficient_windows);
-    prop_assert_eq!(fast.instruction_count, baseline.instruction_count);
-    // The superinstruction path must also match the reference oracle, which
-    // shares no code with the block compiler or the predecode cache.
-    prop_assert_eq!(&fast.capture.samples, &reference.capture.samples);
-    prop_assert_eq!(&fast.capture.spans, &reference.capture.spans);
-    prop_assert_eq!(&fast.poly, &reference.poly);
-    prop_assert_eq!(&fast.coefficient_windows, &reference.coefficient_windows);
-    prop_assert_eq!(fast.instruction_count, reference.instruction_count);
+    let cold = kernel.run(values, iterations, config, &mut rng).unwrap();
+    assert_runs_match(&cold, &oracle)?;
+    for _ in 0..2 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let warm = kernel
+            .run_into(values, iterations, config, &mut rng, scratch)
+            .unwrap();
+        assert_runs_match(&warm, &oracle)?;
+    }
     Ok(())
 }
 
@@ -99,8 +112,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random coefficient sequences, burst lengths, variants, and noise:
-    /// the block-compiled, memoized composition must never diverge from
-    /// direct rendering or from the reference oracle.
+    /// the block-compiled, memoized composition must never diverge from the
+    /// reference oracle, on a cold or a warm scratch.
     #[test]
     fn kernel_fast_path_is_bit_identical_on_random_sequences(
         values in proptest::collection::vec(-41i64..=41, 8),
@@ -261,29 +274,64 @@ fn store_into_executed_block_invalidates_and_stays_bit_identical() {
 #[test]
 fn reference_path_is_bit_identical_too() {
     // The benchmark reference (per-step decode, materialized records,
-    // sin-per-bit rendering) must agree with both the current run() and the
-    // streaming fast path.
+    // sin-per-bit rendering) must agree with the streaming fast path on a
+    // cold and on a warm scratch, one scratch shared across the variants.
     let values = [3i64, -2, 0, 1, -1, 41, -41, 14];
     let iterations = [4u32, 6, 4, 10, 4, 8, 6, 4];
     let mut scratch = SamplerScratch::new();
     for variant in VARIANTS {
         let kernel = SamplerKernel::with_variant(8, &[Q], variant).unwrap();
         let config = PowerModelConfig::default();
-        let mut rng = StdRng::seed_from_u64(77);
-        let reference = kernel
-            .run_reference(&values, &iterations, &config, &mut rng)
+        assert_fast_path_identical(&kernel, &values, &iterations, &config, 77, &mut scratch)
             .unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
-        let direct = kernel.run(&values, &iterations, &config, &mut rng).unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
-        let fast = kernel
-            .run_into(&values, &iterations, &config, &mut rng, &mut scratch)
-            .unwrap();
-        assert_eq!(reference.capture, direct.capture);
-        assert_eq!(reference.capture, fast.capture);
-        assert_eq!(reference.poly, fast.poly);
-        assert_eq!(reference.coefficient_windows, fast.coefficient_windows);
-        assert_eq!(reference.instruction_count, fast.instruction_count);
+    }
+}
+
+/// Every rung of the robust driver's relaxation schedule segments through
+/// `refined_bursts_into`; each must return exactly what the reference
+/// detector followed by the reference refinement returns — bursts or error —
+/// on clean paper-sized captures, chaos-corrupted copies, truncated traces
+/// that take the unfused fallback, and degenerate inputs.
+#[test]
+fn relaxation_rungs_match_reference_segmentation() {
+    let device = Device::new(
+        1024,
+        &[Q],
+        PowerModelConfig::default().with_noise_sigma(0.05),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5E6_0001);
+    let mut traces: Vec<(String, Vec<f64>)> = Vec::new();
+    for k in 0..2u64 {
+        let capture = device.capture_fresh(&mut rng).unwrap();
+        let samples = &capture.run.capture.samples;
+        for intensity in [0.25, 0.5, 1.0] {
+            let injected = ChaosPlan::standard_sweep(k, intensity)
+                .inject(samples, &capture.run.coefficient_windows);
+            traces.push((format!("capture {k}, chaos {intensity}"), injected.samples));
+        }
+        traces.push((format!("capture {k}, first 300"), samples[..300].to_vec()));
+        traces.push((format!("capture {k}"), samples.clone()));
+    }
+    let mut nan = traces[0].1.clone();
+    nan[1234] = f64::NAN;
+    let mut infinite = traces[0].1.clone();
+    infinite[77_777] = f64::INFINITY;
+    traces.push(("NaN".into(), nan));
+    traces.push(("infinite".into(), infinite));
+    traces.push(("empty".into(), Vec::new()));
+    traces.push(("flat".into(), vec![1.0; 4096]));
+    traces.push(("single sample".into(), vec![2.5]));
+
+    let schedule = relaxation_schedule(&AttackConfig::default().segment);
+    let mut scratch = SegmentScratch::new();
+    for (rung, cfg) in schedule.iter().enumerate() {
+        for (label, samples) in &traces {
+            let oracle = find_bursts_reference(samples, cfg)
+                .map(|bursts| refine_burst_ends_reference(samples, &bursts, cfg));
+            let fast = refined_bursts_into(samples, cfg, &mut scratch);
+            assert_eq!(fast, oracle, "rung {rung}, {label}");
+        }
     }
 }
 
