@@ -996,6 +996,22 @@ mod tests {
         assert!(matches!(err, Err(AttackError::Segment(_))));
     }
 
+    #[test]
+    fn nan_sample_fails_typed_not_panic() {
+        // The noise estimate runs before segmentation; a NaN must reach
+        // segmentation's typed error instead of panicking a sort.
+        let (device, attack) = trained(16, 0xBEE);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut samples = device.capture_fresh(&mut rng).unwrap().run.capture.samples;
+        let glitch = samples.len() / 2;
+        samples[glitch] = f64::NAN;
+        let err = RobustAttack::new(&attack).attack_trace(&samples, 16, &HintPolicy::seal_paper());
+        assert!(
+            matches!(err, Err(AttackError::Segment(SegmentError::NonFiniteSample(i))) if i == glitch),
+            "{err:?}"
+        );
+    }
+
     fn trained_two_rail(n: usize, seed: u64) -> (Device, TrainedAttack) {
         let device =
             Device::new(n, &[Q], PowerModelConfig::default().with_noise_sigma(0.05)).unwrap();

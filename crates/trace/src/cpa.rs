@@ -140,11 +140,7 @@ pub fn cpa_rank(traces: &[Vec<f64>], hypotheses: &[Vec<f64>]) -> Result<Vec<CpaS
                 peak_sample,
             }
         });
-    scores.sort_by(|a, b| {
-        b.peak_correlation
-            .partial_cmp(&a.peak_correlation)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    scores.sort_by(|a, b| b.peak_correlation.total_cmp(&a.peak_correlation));
     Ok(scores)
 }
 

@@ -118,14 +118,11 @@ pub fn select_pois(
     Ok(select_pois_from_statistic(&stat, count, min_spacing))
 }
 
-/// Greedy top-k selection with spacing on a precomputed statistic.
+/// Greedy top-k selection with spacing on a precomputed statistic, taken
+/// highest first in [`f64::total_cmp`] order (ties keep index order).
 pub fn select_pois_from_statistic(stat: &[f64], count: usize, min_spacing: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..stat.len()).collect();
-    order.sort_by(|&a, &b| {
-        stat[b]
-            .partial_cmp(&stat[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    order.sort_by(|&a, &b| stat[b].total_cmp(&stat[a]));
     let mut chosen: Vec<usize> = Vec::with_capacity(count);
     for idx in order {
         if chosen.len() >= count {
