@@ -109,7 +109,9 @@ pub fn extract_ladder_windows_into(
     scratch: &mut SegmentScratch,
 ) -> Result<Vec<Vec<f64>>, SegmentError> {
     let bursts = refined_bursts_into(samples, &config.segment, scratch)?;
-    windows_after_bursts(samples, &bursts, config)
+    Ok(ladder_windows(samples, &bursts, config.ladder_window)
+        .map(<[f64]>::to_vec)
+        .collect())
 }
 
 /// Reference implementation — tests and benches only.
@@ -127,26 +129,31 @@ pub fn extract_ladder_windows_reference(
     let bursts = reveal_trace::segment::find_bursts_reference(samples, &config.segment)?;
     let bursts =
         reveal_trace::segment::refine_burst_ends_reference(samples, &bursts, &config.segment);
-    windows_after_bursts(samples, &bursts, config)
+    Ok(ladder_windows(samples, &bursts, config.ladder_window)
+        .map(<[f64]>::to_vec)
+        .collect())
 }
 
-fn windows_after_bursts(
-    samples: &[f64],
-    bursts: &[(usize, usize)],
-    config: &AttackConfig,
-) -> Result<Vec<Vec<f64>>, SegmentError> {
-    let mut windows = Vec::with_capacity(bursts.len());
-    for &(_, end) in bursts {
-        // Only full windows qualify: the device's epilogue burst (the
-        // encryption work following the sampler) guarantees one for every
-        // real coefficient, while the epilogue burst itself — with nothing
-        // after it — is dropped here.
-        if end + config.ladder_window > samples.len() {
-            continue;
-        }
-        windows.push(samples[end..end + config.ladder_window].to_vec());
-    }
-    Ok(windows)
+/// The ladder window after a burst ending at `burst_end`: the `ladder`
+/// samples starting there, or `None` when a full window does not fit in the
+/// trace. This is the one place that rule lives. The device's epilogue
+/// burst (the encryption work following the sampler) guarantees a full
+/// window for every real coefficient, while the epilogue burst itself —
+/// with nothing after it — gets none.
+pub(crate) fn ladder_window(samples: &[f64], burst_end: usize, ladder: usize) -> Option<&[f64]> {
+    samples.get(burst_end..burst_end + ladder)
+}
+
+/// The full ladder windows after `bursts`, in trace order, borrowed from
+/// `samples`.
+fn ladder_windows<'s>(
+    samples: &'s [f64],
+    bursts: &'s [(usize, usize)],
+    ladder: usize,
+) -> impl Iterator<Item = &'s [f64]> {
+    bursts
+        .iter()
+        .filter_map(move |&(_, end)| ladder_window(samples, end, ladder))
 }
 
 /// The trained single-trace attacker: sign templates plus sign-conditional
@@ -746,7 +753,10 @@ impl TrainedAttack {
     ///
     /// Fails when segmentation or classification fails.
     pub fn attack_trace(&self, samples: &[f64]) -> Result<SingleTraceAttack, AttackError> {
-        let windows = extract_ladder_windows(samples, &self.config)?;
+        let bursts =
+            refined_bursts_into(samples, &self.config.segment, &mut SegmentScratch::new())?;
+        let windows: Vec<&[f64]> =
+            ladder_windows(samples, &bursts, self.config.ladder_window).collect();
         // Each window's classification is independent; fan out across
         // threads and keep trace order. The first failing window (in trace
         // order) determines the error, matching the serial loop. The cost
@@ -785,35 +795,51 @@ impl TrainedAttack {
         Ok(result)
     }
 
-    /// The raw (unnormalized) log-likelihood of the best-fitting *sign*
-    /// class for one ladder window — an absolute goodness-of-fit number, in
-    /// contrast to the softmax probabilities, which always sum to one even
-    /// when every template fits terribly. The robust driver screens windows
-    /// whose score falls far below the per-trace population (misaligned,
-    /// glitched or clipped windows score catastrophically against every
-    /// class at once).
-    ///
-    /// # Errors
-    ///
-    /// Propagates template-classification failures.
-    pub fn sign_fit_score(&self, window: &[f64]) -> Result<f64, AttackError> {
-        let obs: Vec<f64> = self.sign_pois.iter().map(|&i| window[i]).collect();
-        let scores = self.sign_templates.classify(&obs)?;
-        Ok(scores
-            .log_likelihoods()
-            .iter()
-            .map(|(_, s)| *s)
-            .fold(f64::NEG_INFINITY, f64::max))
-    }
-
     /// Classifies one ladder window.
     ///
     /// # Errors
     ///
     /// Propagates template-classification failures.
     pub fn attack_window(&self, window: &[f64]) -> Result<CoefficientEstimate, AttackError> {
+        self.classify_window(window).1
+    }
+
+    /// Classifies one ladder window and also returns its *sign fit score*:
+    /// the raw (unnormalized) log-likelihood of the best-fitting sign class,
+    /// read off the same sign scores the classification uses. It is an
+    /// absolute goodness-of-fit number, in contrast to the softmax
+    /// probabilities, which always sum to one even when every template fits
+    /// terribly; the robust driver screens windows whose score falls far
+    /// below the per-trace population (misaligned, glitched or clipped
+    /// windows score catastrophically against every class at once). The
+    /// score is `None` only when sign classification itself failed; a
+    /// value-classification error still leaves it.
+    pub(crate) fn classify_window(
+        &self,
+        window: &[f64],
+    ) -> (Option<f64>, Result<CoefficientEstimate, AttackError>) {
         let sign_obs: Vec<f64> = self.sign_pois.iter().map(|&i| window[i]).collect();
-        let sign = self.sign_templates.classify(&sign_obs)?.best_label();
+        let sign_scores = match self.sign_templates.classify(&sign_obs) {
+            Ok(scores) => scores,
+            Err(e) => return (None, Err(e.into())),
+        };
+        let fit = sign_scores
+            .log_likelihoods()
+            .iter()
+            .map(|(_, s)| *s)
+            .fold(f64::NEG_INFINITY, f64::max);
+        (
+            Some(fit),
+            self.classify_value(window, sign_scores.best_label()),
+        )
+    }
+
+    /// The sign-conditional value classification of one ladder window.
+    fn classify_value(
+        &self,
+        window: &[f64],
+        sign: i64,
+    ) -> Result<CoefficientEstimate, AttackError> {
         let (predicted, probabilities) = match sign {
             0 => (0, vec![(0, 1.0)]),
             s if s > 0 => {
@@ -913,7 +939,7 @@ pub fn ladder_window_starts(
     Ok(bursts
         .iter()
         .map(|&(_, end)| end)
-        .filter(|end| end + config.ladder_window <= samples.len())
+        .filter(|&end| ladder_window(samples, end, config.ladder_window).is_some())
         .collect())
 }
 

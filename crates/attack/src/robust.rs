@@ -10,12 +10,17 @@
 //!    *healed* (over-count → merge the closest pair, under-count → split
 //!    the longest burst), and every healed window is remembered as
 //!    untrustworthy.
-//! 2. **Screen** — each ladder window passes sample-level (glitch/clip
+//! 2. **Classify** — each ladder window gets exactly one template
+//!    classification, which also yields its sign fit score (the raw
+//!    log-likelihood of the best sign class, read off the classification's
+//!    own sign scores).
+//! 3. **Screen** — each ladder window passes sample-level (glitch/clip
 //!    spikes via MAD z-scores), gain-level (burst-median vs a calibrated
-//!    clean reference) and fit-level (raw sign-template log-likelihood vs
-//!    the per-trace population) sanity checks; failures mark the window
-//!    *suspect* without aborting anything.
-//! 3. **Gate** — per-coefficient posteriors are classified onto the
+//!    clean reference) and fit-level (the sign fit score vs the per-trace
+//!    population) sanity checks; failures mark the window *suspect*
+//!    without aborting anything. Windows that degradation arms are then
+//!    also scored by the learned rail, if the attacker carries one.
+//! 4. **Gate** — per-coefficient posteriors are classified onto the
 //!    perfect / approximate / skipped ladder by the *shared*
 //!    [`HintPolicy::classify_variance`] decision, with the posterior
 //!    variance inflated when the trace's robust noise estimate exceeds the
@@ -31,7 +36,7 @@
 //! `tests/chaos.rs` suite pins exactly that.
 
 use crate::config::AttackConfig;
-use crate::profile::{AttackError, CoefficientEstimate, TrainedAttack};
+use crate::profile::{ladder_window, AttackError, CoefficientEstimate, TrainedAttack};
 use crate::report::{AttackReport, ReportError};
 use reveal_hints::{DbddInstance, HintClass, HintPolicy, HintSummary, LweParameters, Posterior};
 use reveal_trace::sanity::{mad_outlier_flags, median, robust_noise_sigma};
@@ -63,13 +68,6 @@ pub struct RobustConfig {
     /// Posterior-variance floor assigned when a suspect window's hint is
     /// demoted from perfect to approximate.
     pub demoted_variance_floor: f64,
-    /// Enables per-burst rail arbitration when the attacker carries a
-    /// learned rail ([`TrainedAttack::learned_rail`]). Arbitration arms
-    /// only on *degraded* evidence (noise inflation, relaxed segmentation,
-    /// healing, or a soft-suspect window), so a clean capture never
-    /// consults the learned rail and stays bit-identical to the plain
-    /// pipeline whether this is on or off.
-    pub arbitration: bool,
 }
 
 impl Default for RobustConfig {
@@ -82,7 +80,6 @@ impl Default for RobustConfig {
             length_z: 8.0,
             inflation_knee: 1.5,
             demoted_variance_floor: 0.25,
-            arbitration: true,
         }
     }
 }
@@ -242,14 +239,14 @@ pub struct Diagnostics {
 }
 
 /// How the per-burst classifier arbitration went (all zeros/false for a
-/// template-only attacker or a clean capture).
+/// template-only attacker or a clean capture). Arbitration runs whenever
+/// the attacker carries a learned rail ([`TrainedAttack::learned_rail`]);
+/// [`TrainedAttack::without_learned_rail`] gives the template-only attacker.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RailDiagnostics {
-    /// The attacker carried a trained learned rail.
+    /// The attacker carried a trained learned rail (a failed/NaN training
+    /// run leaves this false — the recorded LDA-only fallback).
     pub attached: bool,
-    /// Arbitration was enabled *and* a rail was attached (a failed/NaN
-    /// training run leaves this false — the recorded LDA-only fallback).
-    pub arbitrated: bool,
     /// Windows where degradation armed the arbiter and both rails scored.
     pub armed_windows: usize,
     /// Armed windows the learned rail won on calibrated margin.
@@ -299,9 +296,9 @@ impl RobustAttackResult {
     }
 }
 
-/// A window produced by robust segmentation.
-struct SegmentedWindow {
-    window: Option<Vec<f64>>,
+/// A window produced by robust segmentation, borrowed from the trace.
+struct SegmentedWindow<'s> {
+    window: Option<&'s [f64]>,
     burst: (usize, usize),
     healed: bool,
 }
@@ -346,8 +343,9 @@ impl<'a> RobustAttack<'a> {
     ///
     /// # Errors
     ///
-    /// Fails only when every relaxation rung fails to segment (e.g. empty
-    /// or non-finite trace) or template classification fails internally.
+    /// Fails only when every relaxation rung fails to segment (e.g. an
+    /// empty, flat or non-finite trace). A window whose classification
+    /// fails is skipped, not an error.
     pub fn attack_trace(
         &self,
         samples: &[f64],
@@ -399,7 +397,19 @@ impl<'a> RobustAttack<'a> {
         };
         diagnostics.noise_variance_floor = noise_floor;
 
-        let suspicions = self.screen(samples, &segmented)?;
+        // One template pass per window: the estimate and the fit screen's
+        // sign score come from the same sign classification.
+        let (fits, estimates): (Vec<Option<f64>>, Vec<Option<CoefficientEstimate>>) =
+            reveal_par::par_map(&segmented, |sw| match sw.window {
+                Some(w) => {
+                    let (fit, estimate) = self.attack.classify_window(w);
+                    (fit, estimate.ok())
+                }
+                None => (None, None),
+            })
+            .into_iter()
+            .unzip();
+        let suspicions = self.screen(samples, &segmented, &fits);
         diagnostics.suspect_windows = suspicions.iter().filter(|s| s.soft()).count();
 
         // Per-burst rail arbitration arms only on degraded evidence: a
@@ -408,63 +418,39 @@ impl<'a> RobustAttack<'a> {
         // clean capture nothing below fires, the learned rail is never
         // consulted, and the template path runs verbatim — that is how
         // arbitration coexists with the zero-fault bit-identity contract.
-        diagnostics.rail.attached = self.attack.learned_rail().is_some();
-        let learned_rail = if self.config.arbitration {
-            self.attack.learned_rail()
-        } else {
-            None
-        };
-        diagnostics.rail.arbitrated = learned_rail.is_some();
+        let learned_rail = self.attack.learned_rail();
+        diagnostics.rail.attached = learned_rail.is_some();
         let trace_degraded = diagnostics.variance_inflation > 1.0
             || diagnostics.noise_variance_floor > 0.0
             || diagnostics.relaxation_rung > 0
             || diagnostics.healed_merges + diagnostics.healed_splits > 0
             || diagnostics.missing_windows > 0;
-
-        // Classify windows (deterministically parallel, like the plain
-        // pipeline); armed windows are scored by both rails in the same
-        // fan-out.
-        struct WindowScores {
-            lda: Option<CoefficientEstimate>,
-            learned: Option<CoefficientEstimate>,
-            armed: bool,
-            learned_error: bool,
-        }
-        let scored: Vec<WindowScores> = reveal_par::par_map_index(segmented.len(), |i| {
-            let sw = &segmented[i];
-            let suspicion = &suspicions[i];
-            let lda = match &sw.window {
-                Some(w) => self.attack.attack_window(w).ok(),
-                None => None,
-            };
-            let armed = learned_rail.is_some()
-                && sw.window.is_some()
-                && !suspicion.hard()
-                && (trace_degraded || suspicion.soft());
-            let (learned, learned_error) = match (learned_rail, &sw.window) {
-                (Some(rail), Some(w)) if armed => match rail.attack_window(w) {
-                    Ok(e) => (Some(e), false),
-                    Err(_) => (None, true),
-                },
-                _ => (None, false),
-            };
-            WindowScores {
-                lda,
-                learned,
-                armed,
-                learned_error,
+        let mut learned: Vec<Option<CoefficientEstimate>> = vec![None; segmented.len()];
+        if let Some(rail) = learned_rail {
+            let armed: Vec<(usize, &[f64])> = segmented
+                .iter()
+                .zip(&suspicions)
+                .enumerate()
+                .filter(|(_, (_, s))| !s.hard() && (trace_degraded || s.soft()))
+                .filter_map(|(i, (sw, _))| Some((i, sw.window?)))
+                .collect();
+            diagnostics.rail.armed_windows = armed.len();
+            let scored = reveal_par::par_map(&armed, |&(_, w)| rail.attack_window(w));
+            for (&(i, _), score) in armed.iter().zip(scored) {
+                match score {
+                    Ok(estimate) => learned[i] = Some(estimate),
+                    Err(_) => diagnostics.rail.learned_errors += 1,
+                }
             }
-        });
+        }
 
         let effective = policy.with_variance_inflation(diagnostics.variance_inflation);
         let mut coefficients = Vec::with_capacity(n);
-        for (scores, suspicion) in scored.into_iter().zip(suspicions) {
-            diagnostics.rail.armed_windows += usize::from(scores.armed);
-            diagnostics.rail.learned_errors += usize::from(scores.learned_error);
-            let learned_scored = scores.learned.is_some();
+        for ((estimate, learned), suspicion) in estimates.into_iter().zip(learned).zip(suspicions) {
+            let learned_scored = learned.is_some();
             let coefficient = self.gate(
-                scores.lda,
-                scores.learned,
+                estimate,
+                learned,
                 suspicion,
                 &effective,
                 policy,
@@ -486,15 +472,15 @@ impl<'a> RobustAttack<'a> {
     }
 
     /// Stage 1: segmentation with bounded retry and healing.
-    fn segment_with_retry(
+    fn segment_with_retry<'s>(
         &self,
-        samples: &[f64],
+        samples: &'s [f64],
         n: usize,
         diagnostics: &mut Diagnostics,
-    ) -> Result<Vec<SegmentedWindow>, AttackError> {
+    ) -> Result<Vec<SegmentedWindow<'s>>, AttackError> {
         let ladder = self.attack.config().ladder_window;
         let schedule = relaxation_schedule(&self.attack.config().segment);
-        let mut best: Option<(usize, Vec<(usize, usize)>)> = None;
+        let mut best: Option<Vec<(usize, usize)>> = None;
         let mut last_error = None;
         let mut scratch = SegmentScratch::new();
         for (rung, cfg) in schedule.iter().enumerate() {
@@ -505,54 +491,45 @@ impl<'a> RobustAttack<'a> {
                     continue;
                 }
             };
-            // Mirror `extract_ladder_windows`: only bursts whose ladder
-            // window fits count as coefficients (drops the epilogue burst).
+            // Only bursts whose ladder window fits count as coefficients
+            // (drops the epilogue burst).
             let usable: Vec<(usize, usize)> = bursts
                 .into_iter()
-                .filter(|&(_, end)| end + ladder <= samples.len())
+                .filter(|&(_, end)| ladder_window(samples, end, ladder).is_some())
                 .collect();
-            if usable.len() == n {
-                diagnostics.relaxation_rung = rung;
-                return Ok(usable
-                    .into_iter()
-                    .map(|burst| SegmentedWindow {
-                        window: Some(samples[burst.1..burst.1 + ladder].to_vec()),
-                        burst,
-                        healed: false,
-                    })
-                    .collect());
-            }
-            let better = match &best {
-                Some((count, _)) => {
-                    usable.len().abs_diff(n) < count.abs_diff(n)
-                        || (usable.len().abs_diff(n) == count.abs_diff(n) && usable.len() > *count)
-                }
-                None => true,
-            };
+            let better = best.as_ref().is_none_or(|b| {
+                usable.len().abs_diff(n) < b.len().abs_diff(n)
+                    || (usable.len().abs_diff(n) == b.len().abs_diff(n) && usable.len() > b.len())
+            });
             if better {
                 diagnostics.relaxation_rung = rung;
-                best = Some((usable.len(), usable));
+                let exact = usable.len() == n;
+                best = Some(usable);
+                if exact {
+                    break;
+                }
             }
         }
-        let Some((_, bursts)) = best else {
+        let Some(bursts) = best else {
             return Err(AttackError::Segment(
                 last_error.unwrap_or(SegmentError::NoPeaksFound),
             ));
         };
-        self.heal(samples, bursts, n, diagnostics)
+        Ok(self.heal(samples, bursts, n, diagnostics))
     }
 
     /// Repairs a burst-count mismatch left over after every relaxation
     /// rung: merge the closest adjacent pair while over-count, split the
     /// longest burst while under-count, pad with unrecoverable windows if
-    /// splitting runs out of oversized bursts.
-    fn heal(
+    /// splitting runs out of oversized bursts. An exact count passes
+    /// through untouched.
+    fn heal<'s>(
         &self,
-        samples: &[f64],
+        samples: &'s [f64],
         bursts: Vec<(usize, usize)>,
         n: usize,
         diagnostics: &mut Diagnostics,
-    ) -> Result<Vec<SegmentedWindow>, AttackError> {
+    ) -> Vec<SegmentedWindow<'s>> {
         let ladder = self.attack.config().ladder_window;
         let mut healed: Vec<((usize, usize), bool)> =
             bursts.into_iter().map(|b| (b, false)).collect();
@@ -598,13 +575,11 @@ impl<'a> RobustAttack<'a> {
         let mut windows: Vec<SegmentedWindow> = healed
             .into_iter()
             .map(|(burst, was_healed)| {
-                let window = (burst.1 + ladder <= samples.len())
-                    .then(|| samples[burst.1..burst.1 + ladder].to_vec());
-                let missing = window.is_none();
+                let window = ladder_window(samples, burst.1, ladder);
                 SegmentedWindow {
                     window,
                     burst,
-                    healed: was_healed || missing,
+                    healed: was_healed || window.is_none(),
                 }
             })
             .collect();
@@ -625,15 +600,17 @@ impl<'a> RobustAttack<'a> {
             }
         }
         windows.truncate(n);
-        Ok(windows)
+        windows
     }
 
-    /// Stage 2: per-window sanity screens.
+    /// Stage 3: per-window sanity screens; `fits` holds each window's sign
+    /// fit score from its classification.
     fn screen(
         &self,
         samples: &[f64],
         segmented: &[SegmentedWindow],
-    ) -> Result<Vec<Suspicion>, AttackError> {
+        fits: &[Option<f64>],
+    ) -> Vec<Suspicion> {
         let cfg = &self.config;
         let mut suspicions: Vec<Suspicion> = segmented
             .iter()
@@ -651,7 +628,7 @@ impl<'a> RobustAttack<'a> {
         // Glitch screen: any sample in a window that is a massive robust
         // outlier against the window's own population.
         for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
-            if let Some(w) = &sw.window {
+            if let Some(w) = sw.window {
                 let flags = mad_outlier_flags(w, cfg.glitch_z, cfg.glitch_floor_fraction * range);
                 suspicion.glitch = flags.iter().any(|&f| f);
             }
@@ -690,27 +667,22 @@ impl<'a> RobustAttack<'a> {
         // windows concentrate; a misaligned/clipped window collapses
         // against every class at once, which the softmax hides but the raw
         // score exposes.
-        let scores: Vec<Option<f64>> = reveal_par::par_map(segmented, |sw| {
-            sw.window
-                .as_ref()
-                .and_then(|w| self.attack.sign_fit_score(w).ok())
-        });
-        let present: Vec<f64> = scores.iter().filter_map(|s| *s).collect();
+        let present: Vec<f64> = fits.iter().filter_map(|s| *s).collect();
         if present.len() >= 4 {
             let med = median(&present);
             let spread = reveal_trace::sanity::median_abs_deviation(&present)
                 * reveal_trace::sanity::MAD_TO_SIGMA;
             let threshold = med - cfg.score_z * spread.max(1.0);
-            for (score, suspicion) in scores.iter().zip(&mut suspicions) {
+            for (score, suspicion) in fits.iter().zip(&mut suspicions) {
                 if let Some(s) = score {
                     suspicion.poor_fit = *s < threshold;
                 }
             }
         }
-        Ok(suspicions)
+        suspicions
     }
 
-    /// Stage 3: the degradation ladder for one coefficient, with per-burst
+    /// Stage 4: the degradation ladder for one coefficient, with per-burst
     /// rail arbitration. The template leg runs exactly as it always has
     /// (inflated variance, noise floor, suspicion demotion); when the
     /// learned rail also scored the window, its *calibrated* posterior is
@@ -1046,10 +1018,14 @@ mod tests {
             .attack_trace(&capture.run.capture.samples, 16, &HintPolicy::seal_paper())
             .unwrap();
 
+        // The template-only attacker never leaves the template rail.
+        assert!(!reference.diagnostics.rail.attached);
+        assert_eq!(reference.diagnostics.rail.armed_windows, 0);
+        assert!(reference.coefficients.iter().all(|c| c.rail == Rail::Lda));
+
         // On a clean capture arbitration never arms, so the outcome is the
         // template rail's, bit for bit.
         assert!(arbitrated.diagnostics.rail.attached);
-        assert!(arbitrated.diagnostics.rail.arbitrated);
         if arbitrated.coefficients.iter().all(|c| c.suspicion.clean()) {
             assert_eq!(arbitrated.diagnostics.rail.armed_windows, 0);
         }
@@ -1116,25 +1092,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_arbitration_stays_on_the_template_rail() {
-        let (device, attack) = trained_two_rail(16, 0xD15AB);
-        let mut rng = StdRng::seed_from_u64(4);
-        let capture = device.capture_fresh(&mut rng).unwrap();
-        let config = RobustConfig {
-            arbitration: false,
-            ..RobustConfig::default()
-        };
-        let result = RobustAttack::new(&attack)
-            .with_config(config)
-            .attack_trace(&capture.run.capture.samples, 16, &HintPolicy::seal_paper())
-            .unwrap();
-        assert!(result.diagnostics.rail.attached);
-        assert!(!result.diagnostics.rail.arbitrated);
-        assert_eq!(result.diagnostics.rail.armed_windows, 0);
-        assert!(result.coefficients.iter().all(|c| c.rail == Rail::Lda));
-    }
-
-    #[test]
     fn failed_training_degrades_to_lda_only_with_typed_error() {
         let device =
             Device::new(16, &[Q], PowerModelConfig::default().with_noise_sigma(0.05)).unwrap();
@@ -1159,7 +1116,6 @@ mod tests {
             .attack_trace(&capture.run.capture.samples, 16, &HintPolicy::seal_paper())
             .unwrap();
         assert!(!result.diagnostics.rail.attached);
-        assert!(!result.diagnostics.rail.arbitrated);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(clippy::pedantic)]
 // A value-set analysis is one big structural case split: the match arms on
 // (lattice element × lattice element) are clearer spelled out than folded,

@@ -204,6 +204,7 @@ impl State {
         let mut taint = self.unknown_store;
         let mut val: Option<Value> = None;
         let mut overlapping = 0usize;
+        let mut covers_load = false;
         if let Some((lo, hi)) = range {
             for (&(rlo, rhi), region) in &self.mem {
                 if rlo <= hi && lo <= rhi {
@@ -213,22 +214,13 @@ impl State {
                         None => region.val.clone(),
                     });
                     overlapping += 1;
+                    covers_load = rlo <= lo && hi <= rhi;
                 }
             }
             // The load may also read bytes no store covered (top), or
             // multiple regions; only a load fully inside a single
             // region keeps that region's value.
-            if overlapping == 1 {
-                let only = self
-                    .mem
-                    .iter()
-                    .find(|(&(rlo, rhi), _)| rlo <= hi && lo <= rhi)
-                    .map(|(&k, _)| k)
-                    .unwrap();
-                if !(only.0 <= lo && hi <= only.1) {
-                    val = None;
-                }
-            } else if overlapping > 1 {
+            if overlapping > 1 || (overlapping == 1 && !covers_load) {
                 val = None;
             }
         } else {

@@ -381,8 +381,10 @@ pub fn eval_binop(op: reveal_rv32::AluOp, a: &Value, b: &Value) -> Value {
             if out.len() <= MAX_SET {
                 return Value::Set(out);
             }
-            let lo = out.iter().map(|&v| signed(v)).min().unwrap();
-            let hi = out.iter().map(|&v| signed(v)).max().unwrap();
+            let signed_values = || out.iter().map(|&v| signed(v));
+            let (Some(lo), Some(hi)) = (signed_values().min(), signed_values().max()) else {
+                return Value::Top;
+            };
             let stride = stride_of(&Value::Set(out));
             return Value::interval(lo, hi, stride.max(1));
         }

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(clippy::pedantic)]
 // The runtime is all index arithmetic over f64 payloads: precision-lossy
 // casts between counts and cost estimates are deliberate, and the scalar

@@ -1,10 +1,9 @@
 //! Basic-block superinstruction compilation with fused power emission.
 //!
-//! The predecode cache (PR 4) removed instruction-word *parsing* from the
-//! hot loop, but every retired instruction still paid the full interpreter
-//! round trip: a decode-cache probe, the `step()` match, an [`ExecRecord`](crate::cpu::ExecRecord)
-//! materialization, and a second dispatch inside the power renderer. This
-//! module goes one level up: straight-line runs of instructions are
+//! Every instruction the interpreter retires pays the full round trip: an
+//! instruction-word decode, the `step()` match, an
+//! [`ExecRecord`](crate::cpu::ExecRecord) materialization, and a second
+//! dispatch inside the power renderer. This module goes one level up: straight-line runs of instructions are
 //! discovered at first execution, compiled once into a flat array of
 //! [`MicroOp`]s with pre-resolved register indices, immediates, and
 //! pre-computed PC-relative values, and then executed by a single tight
@@ -27,12 +26,13 @@
 //! ## Invalidation
 //!
 //! Stores are the only way the image changes. [`run_block`] applies every
-//! store through the same bus write + predecode invalidation as
-//! [`Cpu::step`]; when a store lands inside the code image it additionally
-//! aborts the block *after* that store retires (architectural state and
-//! emitted samples are exactly those of the per-step path) and reports the
-//! address so [`BlockCache::invalidate`] can drop every compiled block
-//! overlapping it — mirroring the predecode cache's slot invalidation.
+//! store through the same bus write as [`Cpu::step`]; when a store lands
+//! inside the code image it additionally aborts the block *after* that
+//! store retires (architectural state and emitted samples are exactly
+//! those of the per-step path) and reports the address so
+//! [`BlockCache::invalidate`] can drop every compiled block overlapping it.
+//! `step()` decodes the word at the PC every time, so the interpreter
+//! itself needs no invalidation.
 //!
 //! ## Bit-identity
 //!
@@ -169,7 +169,7 @@ pub enum BlockExit {
     /// The record budget ran out mid-block.
     OutOfFuel,
     /// A store landed inside the code image: the store itself fully
-    /// retired (bus write, predecode invalidation, samples), then the
+    /// retired (bus write, samples), then the
     /// block aborted. The caller must invalidate overlapping compiled
     /// blocks before dispatching again.
     SelfModified {
@@ -473,8 +473,7 @@ impl BlockCache {
     }
 
     /// Drops every compiled block whose `[start, end)` range overlaps the
-    /// words a store to `addr` may have written — the block-level mirror of
-    /// the predecode cache's slot invalidation.
+    /// words a store to `addr` may have written.
     pub fn invalidate(&mut self, addr: u32) {
         for word_addr in [addr & !3, addr.wrapping_add(3) & !3] {
             for slot in 0..self.index.len() {
@@ -617,7 +616,6 @@ pub fn run_block<M: Mmio, R: Rng + ?Sized, S: PowerSink>(
                 let addr = cpu.reg(rs1).wrapping_add(offset as u32);
                 let value = cpu.reg(rs2);
                 cpu.bus.write_width(addr, value, width);
-                cpu.invalidate_predecoded(addr);
                 store_addr = Some(addr);
                 data_term += gamma_mem * renderer.leakage(value);
                 data_term += delta_addr * f64::from(addr.count_ones());

@@ -239,29 +239,6 @@ pub fn cycle_cost(instr: &Instruction, branch_taken: bool) -> u32 {
     }
 }
 
-/// A densely predecoded instruction window: one slot per word in
-/// `[base, base + 4·len)`. `None` marks words that do not decode — they take
-/// the live path at execution time and fault exactly as before.
-struct DecodeCache {
-    base: u32,
-    slots: Vec<Option<Instruction>>,
-}
-
-impl DecodeCache {
-    /// The slot index covering `pc`, if the cache covers it.
-    #[inline]
-    fn slot_of(&self, pc: u32) -> Option<usize> {
-        let offset = pc.wrapping_sub(self.base);
-        if offset.is_multiple_of(4) {
-            let index = (offset / 4) as usize;
-            if index < self.slots.len() {
-                return Some(index);
-            }
-        }
-        None
-    }
-}
-
 /// The RV32IM core.
 pub struct Cpu<M: Mmio> {
     regs: [u32; 32],
@@ -269,7 +246,6 @@ pub struct Cpu<M: Mmio> {
     /// The memory bus.
     pub bus: Bus<M>,
     cycle: u64,
-    decode_cache: Option<DecodeCache>,
 }
 
 impl<M: Mmio> Cpu<M> {
@@ -280,43 +256,6 @@ impl<M: Mmio> Cpu<M> {
             pc: 0,
             bus,
             cycle: 0,
-            decode_cache: None,
-        }
-    }
-
-    /// Decodes the `word_count` words at `base` once into a dense cache
-    /// indexed by pc, so [`Cpu::step`] skips instruction-word parsing for
-    /// every pc inside the window. Execution semantics are unchanged: stores
-    /// into the window invalidate the touched slots (self-modifying code
-    /// falls back to live decoding), and undecodable words still fault at
-    /// execution time with the same [`Halt::DecodeFault`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window reaches into the MMIO region (predecoding must
-    /// not consume MMIO read queues) or past the end of RAM.
-    pub fn predecode(&mut self, base: u32, word_count: usize) {
-        let end = base as u64 + 4 * word_count as u64;
-        assert!(
-            end <= Bus::<M>::MMIO_BASE as u64,
-            "predecode window may not touch MMIO"
-        );
-        let slots = (0..word_count)
-            .map(|i| Instruction::decode(self.bus.read_u32(base + 4 * i as u32)).ok())
-            .collect();
-        self.decode_cache = Some(DecodeCache { base, slots });
-    }
-
-    /// Drops any slot of the predecode cache that a store to `addr` may have
-    /// overwritten (at most two word-aligned slots for unaligned accesses).
-    #[inline]
-    pub(crate) fn invalidate_predecoded(&mut self, addr: u32) {
-        if let Some(cache) = &mut self.decode_cache {
-            for word_addr in [addr & !3, addr.wrapping_add(3) & !3] {
-                if let Some(index) = cache.slot_of(word_addr) {
-                    cache.slots[index] = None;
-                }
-            }
         }
     }
 
@@ -355,17 +294,9 @@ impl<M: Mmio> Cpu<M> {
 
     /// Executes one instruction, returning its record, or the halt reason.
     pub fn step(&mut self) -> Result<ExecRecord, Halt> {
-        let predecoded = match &self.decode_cache {
-            Some(cache) => cache.slot_of(self.pc).and_then(|index| cache.slots[index]),
-            None => None,
-        };
-        let instruction = match predecoded {
-            Some(instruction) => instruction,
-            None => {
-                let word = self.bus.read_u32(self.pc);
-                Instruction::decode(word).map_err(|_| Halt::DecodeFault { pc: self.pc, word })?
-            }
-        };
+        let word = self.bus.read_u32(self.pc);
+        let instruction =
+            Instruction::decode(word).map_err(|_| Halt::DecodeFault { pc: self.pc, word })?;
         let pc = self.pc;
         let mut next_pc = pc.wrapping_add(4);
         let mut reg_write = None;
@@ -438,7 +369,6 @@ impl<M: Mmio> Cpu<M> {
                 let addr = self.regs[rs1.index()].wrapping_add(offset as u32);
                 let value = self.regs[rs2.index()];
                 self.bus.write_width(addr, value, width);
-                self.invalidate_predecoded(addr);
                 mem_access = Some((addr, value, true));
             }
             Instruction::AluImm { op, rd, rs1, imm } => {
@@ -766,34 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn predecoded_execution_is_bit_identical() {
-        let source = "
-            li t0, 10
-            li t1, 0
-        loop:
-            add t1, t1, t0
-            mul t2, t1, t0
-            addi t0, t0, -1
-            bnez t0, loop
-            ebreak
-        ";
-        let program = assemble(source, 0).unwrap();
-        let run = |predecode: bool| {
-            let mut bus = Bus::new(64 * 1024, QueueMmio::new());
-            bus.load_words(0, &program.words);
-            let mut cpu = Cpu::new(bus);
-            if predecode {
-                cpu.predecode(0, program.words.len());
-            }
-            let (records, halt) = cpu.run(1_000_000);
-            let regs: Vec<u32> = (0..32).map(|i| cpu.reg(Reg(i))).collect();
-            (records, halt, regs, cpu.cycle())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn store_into_code_invalidates_predecode_cache() {
+    fn store_into_code_executes_the_patched_instruction() {
         // Self-modifying program: overwrite the `nop` at `target` with
         // `addi t2, zero, 42` (0x02A00393) before reaching it.
         let build = |addr: u32| {
@@ -802,28 +705,23 @@ mod tests {
         let probe = assemble(&build(0), 0).unwrap();
         let target = probe.symbol("target").unwrap();
         let program = assemble(&build(target), 0).unwrap();
-        let run = |predecode: bool| {
-            let mut bus = Bus::new(64 * 1024, QueueMmio::new());
-            bus.load_words(0, &program.words);
-            let mut cpu = Cpu::new(bus);
-            if predecode {
-                cpu.predecode(0, program.words.len());
-            }
-            let (records, halt) = cpu.run(1000);
-            (records, halt, cpu.reg(Reg::parse("t2").unwrap()))
-        };
-        let (records, halt, t2) = run(true);
+        let mut bus = Bus::new(64 * 1024, QueueMmio::new());
+        bus.load_words(0, &program.words);
+        let mut cpu = Cpu::new(bus);
+        let (_, halt) = cpu.run(1000);
         assert_eq!(halt, Halt::Ebreak);
-        assert_eq!(t2, 42, "the patched instruction must execute");
-        assert_eq!(run(false), (records, halt, t2));
+        assert_eq!(
+            cpu.reg(Reg::parse("t2").unwrap()),
+            42,
+            "the patched instruction must execute"
+        );
     }
 
     #[test]
-    fn predecode_keeps_decode_faults() {
+    fn undecodable_word_faults_at_execution() {
         let mut bus = Bus::new(1024, QueueMmio::new());
         bus.load_words(0, &[0x0000_0013, 0xFFFF_FFFF]);
         let mut cpu = Cpu::new(bus);
-        cpu.predecode(0, 2);
         let (records, halt) = cpu.run(10);
         assert_eq!(records.len(), 1);
         assert!(matches!(halt, Halt::DecodeFault { pc: 4, .. }));

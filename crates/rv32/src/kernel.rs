@@ -629,9 +629,9 @@ impl SamplerKernel {
     }
 
     /// Reference implementation — tests and benches only. The pre-fast-path
-    /// execution path, kept verbatim: per-step instruction decoding (no
-    /// predecode cache), a materialized `Vec<ExecRecord>`, and `sin`-per-bit
-    /// power rendering via [`render_power_reference`]. It shares no code
+    /// execution path, kept verbatim: per-step instruction decoding, a
+    /// materialized `Vec<ExecRecord>`, and `sin`-per-bit power rendering
+    /// via [`render_power_reference`]. It shares no code
     /// with the block compiler, the burst memo or the streaming renderer,
     /// and is bit-identical to [`SamplerKernel::run_into`]; the equivalence
     /// tests and `bench_pipeline` measure the fast path against it.
@@ -646,7 +646,7 @@ impl SamplerKernel {
         config: &PowerModelConfig,
         rng: &mut R,
     ) -> Result<KernelRun, KernelError> {
-        let mut cpu = self.prepare_cpu_undecoded(noise_values, dist_iterations, rng)?;
+        let mut cpu = self.prepare_cpu(noise_values, dist_iterations, rng)?;
         let (records, halt) = cpu.run(self.fuel());
         if halt != Halt::Ebreak {
             return Err(KernelError::BadHalt(halt));
@@ -860,22 +860,8 @@ impl SamplerKernel {
     }
 
     /// Validates inputs and builds a CPU with queued MMIO, loaded program
-    /// (predecoded), and initialized q-table.
+    /// and initialized q-table.
     fn prepare_cpu<R: Rng + ?Sized>(
-        &self,
-        noise_values: &[i64],
-        dist_iterations: &[u32],
-        rng: &mut R,
-    ) -> Result<Cpu<QueueMmio>, KernelError> {
-        let mut cpu = self.prepare_cpu_undecoded(noise_values, dist_iterations, rng)?;
-        cpu.predecode(0, self.program.words.len());
-        Ok(cpu)
-    }
-
-    /// [`Self::prepare_cpu`] without the predecode pass — the reference
-    /// path decodes each instruction as it executes, like the original
-    /// interpreter did.
-    fn prepare_cpu_undecoded<R: Rng + ?Sized>(
         &self,
         noise_values: &[i64],
         dist_iterations: &[u32],

@@ -23,10 +23,12 @@
 //! - **Typed failure, never panic.** Every way a stream can go wrong is a
 //!   [`ServeError`] variant; a failed trace becomes a failure *outcome*
 //!   that flows through the same scoring path as a success.
-//! - **Bounded retry with backoff.** Analysis failures are retried up to
-//!   the depth of `reveal_attack::robust`'s relaxation schedule (the same
-//!   ladder the driver walks internally), with exponential backoff between
-//!   attempts.
+//! - **One analysis per trace.** Each completed trace runs through the
+//!   robust driver exactly once; the driver itself walks
+//!   `reveal_attack::robust`'s bounded relaxation schedule and heals what
+//!   is left. The driver is deterministic, so a failure is final: it
+//!   becomes a typed [`ServeError::Analysis`] outcome, and
+//!   [`ServeMetrics::retries`] counts the relaxation rungs climbed.
 //! - **Degradation ladder.** Per coefficient: perfect → approximate →
 //!   skipped, gated by the existing confidence machinery; per victim:
 //!   repeated failures quarantine the key, so one poisoned stream can
@@ -107,13 +109,9 @@ pub enum ServeError {
         /// The configured budget in milliseconds.
         budget_ms: u64,
     },
-    /// Analysis failed after the full retry ladder.
-    Analysis {
-        /// Attempts made (= the retry budget when surfaced).
-        attempts: u32,
-        /// The final attempt's typed attack error.
-        last: AttackError,
-    },
+    /// The robust driver failed the trace (every relaxation rung failed to
+    /// segment, e.g. a flat or non-finite capture).
+    Analysis(AttackError),
     /// The scorer abandoned a trace sequence number that never produced an
     /// outcome (its frames were shed before reassembly began).
     GapAbandoned,
@@ -154,9 +152,7 @@ impl fmt::Display for ServeError {
                 f,
                 "stage {stage} took {elapsed_ms} ms against a {budget_ms} ms deadline"
             ),
-            ServeError::Analysis { attempts, last } => {
-                write!(f, "analysis failed after {attempts} attempts: {last}")
-            }
+            ServeError::Analysis(e) => write!(f, "analysis failed: {e}"),
             ServeError::GapAbandoned => write!(f, "trace never produced an outcome"),
             ServeError::QueueClosed { stage } => write!(f, "{stage} queue closed"),
             ServeError::Backpressure => write!(f, "ingest queue full (shed policy)"),

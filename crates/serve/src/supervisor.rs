@@ -9,7 +9,7 @@
 //!                                                │  validate / reassemble / expire
 //!                                                ▼
 //!                                          [work queue] ── N worker threads
-//!                                                │  robust attack + retry ladder
+//!                                                │  robust attack (relaxation ladder inside)
 //!                                                ▼
 //!                                        [result queue] ── scorer thread
 //!                                                │  per-key reorder + fold
@@ -39,9 +39,7 @@ use crate::checkpoint::Snapshot;
 use crate::frame::{KeyId, TraceFrame};
 use crate::reassembly::{ExpiredStream, Inserted, Reassembly, ReassemblyConfig};
 use crate::{ServeError, Stage};
-use reveal_attack::{
-    relaxation_schedule, Calibration, RobustAttack, RobustAttackResult, RobustConfig, TrainedAttack,
-};
+use reveal_attack::{Calibration, RobustAttack, RobustAttackResult, RobustConfig, TrainedAttack};
 use reveal_hints::{HintPolicy, LweParameters};
 use reveal_par::channel::{bounded, OverflowPolicy, QueueMetrics, Receiver, RecvError, Sender};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -89,13 +87,6 @@ pub struct ServeConfig {
     pub reassembly: ReassemblyConfig,
     /// Per-frame payload bound for admission control.
     pub max_frame_samples: usize,
-    /// Analysis retry budget; 0 means the depth of the robust relaxation
-    /// schedule.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Consecutive failed traces before a victim key is quarantined.
     pub quarantine_threshold: u32,
     /// Checkpoint after every N scored traces; 0 disables periodic
@@ -131,9 +122,6 @@ impl ServeConfig {
             stage_deadline: Duration::from_secs(60),
             reassembly: ReassemblyConfig::default(),
             max_frame_samples: 1 << 20,
-            max_retries: 0,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(50),
             quarantine_threshold: 3,
             checkpoint_every: 0,
             checkpoint_path: None,
@@ -160,7 +148,11 @@ pub struct ServeMetrics {
     pub traces_analyzed: u64,
     /// Traces scored as typed failures.
     pub traces_failed: u64,
-    /// Analysis retry attempts beyond the first.
+    /// Segmentation relaxation rungs the robust driver climbed above rung 0
+    /// ([`reveal_attack::Diagnostics::relaxation_rung`]), summed over the
+    /// traces it analyzed. Each trace is analyzed exactly once: the driver
+    /// is deterministic, so re-running it on the same samples could only
+    /// repeat the outcome.
     pub retries: u64,
     /// Updates dropped because the update buffer was full.
     pub updates_dropped: u64,
@@ -603,39 +595,20 @@ fn worker_loop(
     if let Some(calibration) = config.calibration {
         robust = robust.with_calibration(calibration);
     }
-    let budget = if config.max_retries == 0 {
-        relaxation_schedule(&trained.config().segment).len() as u32
-    } else {
-        config.max_retries
-    }
-    .max(1);
-
     while let Ok(job) = rx.recv() {
         if shared.kill.load(Ordering::SeqCst) {
             break;
         }
         let start = Instant::now();
-        let mut attempt = 0u32;
-        let result = loop {
-            attempt += 1;
-            match robust.attack_trace(&job.samples, config.coefficients, &config.policy) {
-                Ok(r) => break Ok(r),
-                Err(e) => {
-                    if attempt >= budget || shared.kill.load(Ordering::SeqCst) {
-                        break Err(ServeError::Analysis {
-                            attempts: attempt,
-                            last: e,
-                        });
-                    }
-                    shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let backoff = config
-                        .backoff_base
-                        .saturating_mul(1u32 << (attempt - 1).min(16))
-                        .min(config.backoff_cap);
-                    std::thread::sleep(backoff);
-                }
-            }
-        };
+        let result = robust
+            .attack_trace(&job.samples, config.coefficients, &config.policy)
+            .map_err(ServeError::Analysis);
+        if let Ok(r) = &result {
+            shared
+                .counters
+                .retries
+                .fetch_add(r.diagnostics.relaxation_rung as u64, Ordering::Relaxed);
+        }
         let elapsed = start.elapsed();
         let result = if result.is_ok() && elapsed > config.stage_deadline {
             Err(ServeError::StageDeadline {
@@ -860,7 +833,6 @@ mod tests {
         let c = config();
         assert!(c.ingest_capacity > 0 && c.work_capacity > 0 && c.result_capacity > 0);
         assert_eq!(c.ingest_policy, OverflowPolicy::Block);
-        assert_eq!(c.max_retries, 0, "0 delegates to the relaxation ladder");
         assert!(c.checkpoint_path.is_none() && c.checkpoint_every == 0);
     }
 }

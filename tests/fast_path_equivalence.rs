@@ -1,8 +1,8 @@
 //! Equivalence suite: each layer's one fast path against its one oracle.
 //!
-//! The streaming capture pipeline (predecode cache, block compiler,
-//! `PowerSink` emission, sub-trace memoization, chunked profiling
-//! collection) and the fused segmenter are pure performance layers: every
+//! The streaming capture pipeline (block compiler, `PowerSink` emission,
+//! sub-trace memoization, chunked profiling collection) and the fused
+//! segmenter are pure performance layers: every
 //! output they produce must be bit-identical to the reference
 //! implementations for the same inputs and RNG seed. These tests pin that
 //! contract at the kernel level (all five sampler variants, cold and warm
@@ -55,7 +55,7 @@ fn assert_runs_match(fast: &KernelRun, oracle: &KernelRun) -> Result<(), TestCas
 /// twice on the caller's `scratch` (the second run replays every burst from
 /// a warm memo and dispatches already-compiled blocks), and asserts every
 /// output matches the reference oracle bit for bit. The oracle shares no
-/// code with the block compiler, the memo or the predecode cache.
+/// code with the block compiler or the memo.
 fn assert_fast_path_identical(
     kernel: &SamplerKernel,
     values: &[i64],
@@ -140,7 +140,6 @@ fn run_via_blocks(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>,
     let mut bus = Bus::new(64 * 1024, QueueMmio::new());
     bus.load_words(0, &program.words);
     let mut cpu = Cpu::new(bus);
-    cpu.predecode(0, program.words.len());
     let config = PowerModelConfig::default();
     let renderer = PowerRenderer::new(&config);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -208,7 +207,6 @@ fn run_via_steps(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>) 
     let mut bus = Bus::new(64 * 1024, QueueMmio::new());
     bus.load_words(0, &program.words);
     let mut cpu = Cpu::new(bus);
-    cpu.predecode(0, program.words.len());
     let config = PowerModelConfig::default();
     let renderer = PowerRenderer::new(&config);
     let mut rng = StdRng::seed_from_u64(seed);

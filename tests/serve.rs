@@ -22,14 +22,15 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reveal_attack::{
-    calibrate, report_full_attack, AttackConfig, Calibration, Device, RobustAttack, TrainedAttack,
+    calibrate, report_full_attack, AttackConfig, AttackError, Calibration, Device, RobustAttack,
+    TrainedAttack,
 };
-use reveal_chaos::{FrameChunk, FramePlan};
+use reveal_chaos::{ChaosPlan, FrameChunk, FramePlan};
 use reveal_hints::{HintPolicy, LweParameters};
 use reveal_rv32::power::PowerModelConfig;
 use reveal_serve::accumulator::ShardedAccumulator;
 use reveal_serve::{
-    frame_stream, KeyId, ServeConfig, Snapshot, Supervisor, TraceFrame, VictimStatus,
+    frame_stream, KeyId, ServeConfig, ServeError, Snapshot, Supervisor, TraceFrame, VictimStatus,
 };
 
 const DEGREE: usize = 32;
@@ -423,6 +424,66 @@ fn poisoned_victim_is_quarantined_without_stalling_others() {
         served_clean.1.last_estimate.map(|e| e.bikz.to_bits()),
         reference_clean.1.last_estimate.map(|e| e.bikz.to_bits()),
     );
+}
+
+#[test]
+fn failed_trace_is_analyzed_once() {
+    // A finite, flat trace passes frame validation and fails segmentation
+    // at every relaxation rung. The driver is deterministic, so the service
+    // analyzes it once and scores the typed failure: no retry.
+    let sh = shared();
+    let mut cfg = config();
+    cfg.workers = 1;
+    let sup = Supervisor::start(sh.attack.clone(), cfg);
+    for frame in frame_stream(3, 0, &vec![1.0; 5000], FRAME_LEN) {
+        sup.handle().submit(frame).unwrap();
+    }
+    let updates = await_updates(&sup, 1, Duration::from_secs(60));
+    let summary = sup.shutdown();
+    assert!(
+        matches!(
+            updates[0].failed,
+            Some(ServeError::Analysis(AttackError::Segment(_)))
+        ),
+        "{:?}",
+        updates[0].failed
+    );
+    assert_eq!(summary.metrics.traces_failed, 1);
+    assert_eq!(summary.metrics.retries, 0);
+}
+
+#[test]
+fn retries_count_the_relaxation_rungs_of_corrupted_traces() {
+    // Sample-level chaos pushes the driver up its relaxation ladder; the
+    // service's `retries` counter must equal the rungs a direct robust run
+    // over the same traces climbed.
+    let sh = shared();
+    let cfg = config();
+    let robust = RobustAttack::new(&sh.attack).with_calibration(sh.calibration);
+    let mut traces = Vec::new();
+    let mut rungs = 0u64;
+    let mut analyzed = 0u64;
+    for (seq, intensity) in [0.4, 0.6, 0.8, 1.0, 1.0, 1.0].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(200 + seq as u64);
+        let capture = sh.device.capture_fresh(&mut rng).unwrap();
+        let injected = ChaosPlan::standard_sweep(900 + seq as u64, intensity).inject(
+            &capture.run.capture.samples,
+            &capture.run.coefficient_windows,
+        );
+        if let Ok(result) = robust.attack_trace(&injected.samples, DEGREE, &cfg.policy) {
+            rungs += result.diagnostics.relaxation_rung as u64;
+            analyzed += 1;
+        }
+        traces.push(injected.samples);
+    }
+    assert!(rungs > 0, "the sweep must push some trace past rung 0");
+
+    let sup = Supervisor::start(sh.attack.clone(), cfg);
+    submit_all(&sup, &[(5, traces.clone())]);
+    await_updates(&sup, traces.len(), Duration::from_secs(60));
+    let summary = sup.shutdown();
+    assert_eq!(summary.metrics.traces_analyzed, analyzed);
+    assert_eq!(summary.metrics.retries, rungs);
 }
 
 /// The clean reference for [`standard_traces`] under the chaos-scenario
